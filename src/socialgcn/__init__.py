@@ -16,7 +16,7 @@ from .data import (
     split,
 )
 from .evaluation import EvalConfig, MetricReport, evaluate, run_ablation
-from .model import HyperParams, ModelParams, init_params, predict, score_all_items
+from .model import HyperParams, ModelParams, forward_all, init_params
 from .training import TrainConfig, bpr_pair_loss, compute_gradients, train
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HyperParams, ModelParams
+from .model import HyperParams, ModelError, ModelParams
 
 MAGIC = b"SGCNCKPT"
 VERSION = 1
@@ -112,6 +112,11 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     off += hlen
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
+    for key in ("hyperparams", "fingerprint", "blocks"):
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no {key!r} entry")
 
     arrays = {}
     for block in header["blocks"]:
@@ -128,7 +133,10 @@ def load_checkpoint(path):
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes after last block")
 
-    hypers = HyperParams(**header["hyperparams"])
+    try:
+        hypers = HyperParams(**header["hyperparams"])
+    except (TypeError, ModelError) as exc:
+        raise CheckpointError(f"{path}: bad hyperparams: {exc}") from exc
     params = ModelParams(arrays, frozen=header.get("frozen", []))
     return Checkpoint(
         version=version,

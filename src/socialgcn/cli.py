@@ -82,7 +82,6 @@ class RunConfig:
     variants: list[str] = field(default_factory=lambda: ["full"])
     # run
     seed: int = 0
-    workers: int = 1
     output_dir: str = "runs"
 
     def validate(self):
@@ -99,8 +98,6 @@ class RunConfig:
                 raise ConfigError("feature mode requires user_features and item_features files")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         for name in self.variants:
             if name not in E.ABLATION_VARIANTS:
                 raise ConfigError(
@@ -248,7 +245,7 @@ def _format_log(cfg, log):
         f"# adam beta1=0.9 beta2=0.999 eps=1e-08 lr={cfg.learning_rate!r}",
         f"# regularization lambda={cfg.lambda_reg!r} applied once per batch to |P|^2+|Q|^2",
         f"# loss=bpr negatives_per_positive={cfg.negatives} batch_size={cfg.batch_size}",
-        f"# seed={cfg.seed} workers={cfg.workers}",
+        f"# seed={cfg.seed}",
         "epoch\tloss\tval_hr10\tval_ndcg10\tskipped_users",
     ]
     for rec in log:
@@ -272,7 +269,7 @@ def cmd_train(args):
         params,
         bundle.fingerprint(),
         log_tail=log_text.splitlines()[-10:],
-        meta={"seed": cfg.seed, "workers": cfg.workers},
+        meta={"seed": cfg.seed},
     )
     atomic_write_text(os.path.join(cfg.output_dir, "train.log"), log_text)
     print(f"wrote {cfg.output_dir}/checkpoint.bin and {cfg.output_dir}/train.log "
@@ -280,11 +277,34 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _load_model(args, cfg):
+    """Load the checkpoint and the dataset, failing closed when they do not fit.
+
+    Every block init_params makes for this dataset must be in the checkpoint
+    with the same shape; the first that is not is named.
+    """
+    ckpt = load_checkpoint(args.checkpoint)
+    bundle = build_bundle(cfg)
+    dims = [0 if f is None else f.dim for f in (bundle.user_features, bundle.item_features)]
+    expected = M.init_params(ckpt.hypers, bundle.num_users, bundle.num_items, *dims)
+    for name, want in expected.items():
+        if name not in ckpt.params:
+            raise D.DataError(f"checkpoint has no block {name!r}")
+        got = ckpt.params[name].shape
+        if got != want.shape:
+            rows = {"P": "users", "Q": "items"}.get(name)
+            if rows and got[1:] == want.shape[1:]:
+                raise D.DataError(
+                    f"checkpoint block {name!r} has {got[0]} rows, dataset has {want.shape[0]} {rows}"
+                )
+            raise D.DataError(f"checkpoint block {name!r} has shape {got}, dataset needs {want.shape}")
+    return ckpt, bundle
+
+
 def cmd_evaluate(args):
     cfg = _load_config(args)
     cfg.validate()
-    ckpt = load_checkpoint(args.checkpoint)
-    bundle = build_bundle(cfg)
+    ckpt, bundle = _load_model(args, cfg)
     if bundle.fingerprint() != ckpt.fingerprint and not args.allow_mismatch:
         raise D.DataError(
             "dataset fingerprint does not match checkpoint "
@@ -316,8 +336,7 @@ def cmd_evaluate(args):
 def cmd_predict(args):
     cfg = _load_config(args)
     cfg.validate()
-    ckpt = load_checkpoint(args.checkpoint)
-    bundle = build_bundle(cfg)
+    ckpt, bundle = _load_model(args, cfg)
     if not (0 <= args.user < bundle.num_users):
         raise D.DataError(f"unknown user id {args.user} (have {bundle.num_users} users)")
     U, V, _ = M.forward_all(ckpt.params, ckpt.hypers, bundle)
@@ -380,7 +399,6 @@ def _load_config(args):
     cfg = parse_config(args.config) if args.config else RunConfig()
     overrides = {
         "seed": getattr(args, "seed", None),
-        "workers": getattr(args, "workers", None),
         "k": getattr(args, "k", None),
         "dim": getattr(args, "dim", None),
         "mode": getattr(args, "mode", None),
@@ -400,7 +418,6 @@ def _load_config(args):
 def _add_common(p, with_eval=False):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--mode", choices=[M.FEATURES, M.FEATURELESS])

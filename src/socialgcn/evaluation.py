@@ -181,6 +181,9 @@ def relative_change_percent(value, baseline):
 
 
 def format_relative_change(value, baseline):
+    """Signed percent change; 'n/a' when the baseline is 0."""
+    if baseline == 0:
+        return "n/a"
     return f"{relative_change_percent(value, baseline):+.2f}%"
 
 

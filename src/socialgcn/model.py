@@ -8,8 +8,9 @@ fixed to 0.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -143,157 +144,107 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def _bias(params, name, dim):
-    return params[name] if name in params else np.zeros(dim)
+# ---------------------------------------------------------------------------
+# sparse operators
+
+
+def _row_mean_matrix(rows, num_cols):
+    """CSR matrix whose row a holds 1/|rows[a]| at each column in rows[a].
+
+    Each row list must be sorted and free of duplicates, as the
+    InteractionMatrix and SocialGraph constructors guarantee; an empty row
+    stays all zero.
+    """
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=indptr[-1])
+    data = np.repeat(1.0 / np.maximum(counts, 1), counts)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), num_cols))
+
+
+def mean_adjacency(social):
+    """Row-normalized follow adjacency: (A h)[a] = mean of h over S_a."""
+    return _row_mean_matrix(social.followees_by_user, social.num_users)
+
+
+def history_mean_matrix(train):
+    """Rows: 1/|R_a| over a's training positives (zero row when R_a is empty)."""
+    return _row_mean_matrix(train.positives_by_user, train.num_items)
+
+
+class Graph:
+    """A dataset's sparse operators, built once and shared by forward and backward."""
+
+    def __init__(self, bundle):
+        if bundle.social is None:
+            raise ModelError("bundle has no social graph attached")
+        self.mean_adj = mean_adjacency(bundle.social)
+        self.mean_adj_t = self.mean_adj.T.tocsr()
+        self.hist = history_mean_matrix(bundle.train)
+        self.hist_t = self.hist.T.tocsr()
 
 
 # ---------------------------------------------------------------------------
-# per-entity operations
-
-
-def item_embedding(params, hypers, q_i, y_i=None):
-    """Item latent vector: ReLU(F [q_i, y_i] + bF), or q_i itself featureless."""
-    q_i = np.asarray(q_i, dtype=np.float64)
-    if not hypers.with_features:
-        if q_i.shape != (hypers.L,):
-            raise ModelError(f"q_i shape {q_i.shape} != ({hypers.L},)")
-        return q_i
-    if y_i is None:
-        raise ModelError("feature mode requires item features")
-    y_i = np.asarray(y_i, dtype=np.float64)
-    z = np.concatenate([q_i, y_i])
-    F = params["F"]
-    if F.shape[1] != z.shape[0]:
-        raise ModelError(f"F expects input dim {F.shape[1]}, got {z.shape[0]}")
-    return relu(F @ z + _bias(params, "bF", hypers.D))
-
-
-def user_base_embedding(params, hypers, x_a=None, p_a=None):
-    """Layer-0 user vector: ReLU(W0 [x_a, p_a] + b0), or p_a itself featureless."""
-    p_a = np.asarray(p_a, dtype=np.float64)
-    if not hypers.with_features:
-        if p_a.shape != (hypers.L,):
-            raise ModelError(f"p_a shape {p_a.shape} != ({hypers.L},)")
-        return p_a
-    if x_a is None:
-        raise ModelError("feature mode requires user features")
-    x_a = np.asarray(x_a, dtype=np.float64)
-    z = np.concatenate([x_a, p_a])
-    W0 = params["W0"]
-    if W0.shape[1] != z.shape[0]:
-        raise ModelError(f"W0 expects input dim {W0.shape[1]}, got {z.shape[0]}")
-    return relu(W0 @ z + _bias(params, "b0", hypers.D))
-
-
-def aggregate_neighbors(layer, neighbor_ids, aggregator=AGG_AVERAGE):
-    """Pool a user's neighbors' layer-k vectors; empty ego net gives zeros."""
-    layer = np.asarray(layer)
-    if len(neighbor_ids) == 0:
-        return np.zeros(layer.shape[1])
-    block = layer[np.asarray(neighbor_ids, dtype=int)]
-    if aggregator == AGG_AVERAGE:
-        return block.mean(axis=0)
-    if aggregator == AGG_MAX:
-        return block.max(axis=0)
-    raise ModelError(f"unknown aggregator {aggregator!r}")
-
-
-def convolve_layer(params, k, h_agg, h_a):
-    """One graph-convolution step: ReLU(Wk [h_agg, h_a] + bk)."""
-    W = params[layer_weight_name(k)]
-    z = np.concatenate([np.asarray(h_agg, dtype=np.float64), np.asarray(h_a, dtype=np.float64)])
-    if W.shape[1] != z.shape[0]:
-        raise ModelError(f"Wk{k} expects input dim {W.shape[1]}, got {z.shape[0]}")
-    return relu(W @ z + _bias(params, layer_bias_name(k), W.shape[0]))
+# full-graph forward
 
 
 @dataclass
 class DiffusionState:
-    """Per-layer user embeddings, layers[k] has shape (num_users, D)."""
+    """Per-layer user embeddings and what the backward pass needs of them.
+
+    layers[k] has shape (num_users, D); aggs[k] is the neighbor aggregate
+    fed to layer k+1. For the max aggregator winners[k][a, c] is the
+    followee whose layer-k value won column c of aggs[k][a] (-1 for an
+    empty ego net); for the average aggregator winners[k] is None.
+    """
 
     layers: list[np.ndarray]
+    aggs: list[np.ndarray]
+    winners: list
 
     @property
     def final(self):
         return self.layers[-1]
 
 
-def mean_adjacency(social):
-    """Row-normalized follow adjacency: (A h)[a] = mean of h over S_a."""
-    rows, cols, vals = [], [], []
-    for a, nbrs in enumerate(social.followees_by_user):
-        if not nbrs:
-            continue
-        w = 1.0 / len(nbrs)
-        for b in nbrs:
-            rows.append(a)
-            cols.append(b)
-            vals.append(w)
-    n = social.num_users
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def aggregate_all(layer, social, aggregator=AGG_AVERAGE, mean_adj=None):
-    """Vectorized aggregate_neighbors over all users."""
+    """Pool every user's followees' vectors; an empty ego net gives zeros.
+
+    Returns (aggregate, winners). The max aggregator breaks a tie for a
+    column's maximum towards the lowest followee id, as argmax does.
+    """
     if aggregator == AGG_AVERAGE:
         A = mean_adjacency(social) if mean_adj is None else mean_adj
-        return A @ layer
+        return A @ layer, None
     out = np.zeros_like(layer)
+    winners = np.full(layer.shape, -1)
+    cols = np.arange(layer.shape[1])
     for a, nbrs in enumerate(social.followees_by_user):
         if nbrs:
-            out[a] = layer[np.asarray(nbrs)].max(axis=0)
-    return out
+            nbrs = np.asarray(nbrs)
+            block = layer[nbrs]
+            best = block.argmax(axis=0)
+            winners[a] = nbrs[best]
+            out[a] = block[best, cols]
+    return out, winners
 
 
-def diffuse(params, hypers, social, h0):
+def diffuse(params, hypers, social, h0, mean_adj=None):
     """Run the K-layer diffusion recursion from layer-0 embeddings h0."""
     h0 = np.asarray(h0, dtype=np.float64)
     if h0.shape[0] != social.num_users:
         raise ModelError("h0 must cover every user")
-    layers = [h0]
-    mean_adj = mean_adjacency(social) if hypers.aggregator == AGG_AVERAGE else None
+    state = DiffusionState([h0], [], [])
     for k in range(hypers.K):
-        agg = aggregate_all(layers[k], social, hypers.aggregator, mean_adj)
-        z = np.concatenate([agg, layers[k]], axis=1) @ params[layer_weight_name(k)].T
+        h = state.layers[k]
+        agg, winners = aggregate_all(h, social, hypers.aggregator, mean_adj)
+        z = np.concatenate([agg, h], axis=1) @ params[layer_weight_name(k)].T
         if layer_bias_name(k) in params:
             z = z + params[layer_bias_name(k)]
-        layers.append(relu(z))
-    return DiffusionState(layers)
-
-
-def history_mean_matrix(train):
-    """Rows: 1/|R_a| over a's training positives (zero row when R_a is empty)."""
-    rows, cols, vals = [], [], []
-    for a, items in enumerate(train.positives_by_user):
-        if not items:
-            continue
-        w = 1.0 / len(items)
-        for i in items:
-            rows.append(a)
-            cols.append(i)
-            vals.append(w)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(train.num_users, train.num_items))
-
-
-def user_embedding(diffusion, user, history_items, item_embs):
-    """Final user vector: h^K_a plus the mean of the training-positive items."""
-    u = diffusion.final[user].copy()
-    if len(history_items) > 0:
-        u += item_embs[np.asarray(history_items, dtype=int)].mean(axis=0)
-    return u
-
-
-def predict(u_a, v_i):
-    """Predicted preference: inner product of the two embeddings."""
-    u_a = np.asarray(u_a, dtype=np.float64)
-    v_i = np.asarray(v_i, dtype=np.float64)
-    if u_a.shape != v_i.shape:
-        raise ModelError(f"shape mismatch {u_a.shape} vs {v_i.shape}")
-    return float(u_a @ v_i)
-
-
-# ---------------------------------------------------------------------------
-# full-graph forward
+        state.layers.append(relu(z))
+        state.aggs.append(agg)
+        state.winners.append(winners)
+    return state
 
 
 def all_item_embeddings(params, hypers, item_features=None):
@@ -320,28 +271,17 @@ def all_user_base_embeddings(params, hypers, user_features=None):
     return relu(h)
 
 
-def forward_all(params, hypers, bundle):
+def forward_all(params, hypers, bundle, graph=None):
     """Compute (U, V, diffusion state) for every user and item.
 
-    The Eq.-style history term always uses training positives only.
+    This is the model's only forward pass: training, evaluation and predict
+    all run it. `graph` holds the bundle's sparse operators; pass one Graph
+    to reuse them across calls. The history term always uses training
+    positives only.
     """
+    graph = Graph(bundle) if graph is None else graph
     V = all_item_embeddings(params, hypers, bundle.item_features)
     h0 = all_user_base_embeddings(params, hypers, bundle.user_features)
-    state = diffuse(params, hypers, bundle.social, h0)
-    U = state.final + history_mean_matrix(bundle.train) @ V
+    state = diffuse(params, hypers, bundle.social, h0, graph.mean_adj)
+    U = state.final + graph.hist @ V
     return U, V, state
-
-
-def score_all_items(params, hypers, bundle, user, candidate_items):
-    """Score a candidate list for one user; returns [(item, score), ...]."""
-    if not (0 <= user < bundle.num_users):
-        raise ModelError(f"unknown user id {user}")
-    for i in candidate_items:
-        if not (0 <= i < bundle.num_items):
-            raise ModelError(f"unknown item id {i}")
-    if len(candidate_items) == 0:
-        return []
-    U, V, _ = forward_all(params, hypers, bundle)
-    cand = np.asarray(candidate_items, dtype=int)
-    scores = V[cand] @ U[user]
-    return [(int(i), float(s)) for i, s in zip(cand, scores)]

@@ -9,7 +9,7 @@ gradient apart from the L2 term on P and Q.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -35,7 +35,6 @@ class TrainConfig:
     early_stop_patience: int = 10
     seed: int = 0
     val_negatives: int = 200  # candidate negatives for per-epoch validation
-    use_literal_loss: bool = False  # documentation-only variant, see literal_pair_loss
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.negatives_per_positive <= 0:
@@ -96,67 +95,6 @@ def bpr_pair_loss(score_pos, score_neg):
     return float(np.logaddexp(0.0, -(score_pos - score_neg)))
 
 
-def literal_pair_loss(score_pos, score_neg):
-    """sigmoid(score_pos - score_neg); kept only to document that minimizing
-    it would rank negatives above positives. Not used by default."""
-    return float(expit(score_pos - score_neg))
-
-
-class _GraphContext:
-    """Precomputed sparse operators reused across batches of one dataset."""
-
-    def __init__(self, bundle, hypers):
-        if bundle.social is None:
-            raise TrainingError("bundle has no social graph attached")
-        self.bundle = bundle
-        self.hypers = hypers
-        self.mean_adj = (
-            M.mean_adjacency(bundle.social) if hypers.aggregator == M.AGG_AVERAGE else None
-        )
-        self.mean_adj_t = self.mean_adj.T.tocsr() if self.mean_adj is not None else None
-        self.hist = M.history_mean_matrix(bundle.train)
-        self.hist_t = self.hist.T.tocsr()
-        self.X = bundle.user_features.vectors if hypers.with_features else None
-        self.Y = bundle.item_features.vectors if hypers.with_features else None
-        if hypers.with_features and (self.X is None or self.Y is None):
-            raise TrainingError("feature mode requires user and item feature tables")
-
-
-def _forward_cache(params, hypers, ctx):
-    cache = {}
-    if hypers.with_features:
-        zv = np.concatenate([params["Q"], ctx.Y], axis=1) @ params["F"].T
-        if "bF" in params:
-            zv = zv + params["bF"]
-        cache["ZV"] = zv
-        V = M.relu(zv)
-        z0 = np.concatenate([ctx.X, params["P"]], axis=1) @ params["W0"].T
-        if "b0" in params:
-            z0 = z0 + params["b0"]
-        cache["Z0"] = z0
-        H0 = M.relu(z0)
-    else:
-        V = params["Q"]
-        H0 = params["P"]
-    cache["V"] = V
-    layers = [H0]
-    aggs = []
-    zs = []
-    for k in range(hypers.K):
-        agg = M.aggregate_all(layers[k], ctx.bundle.social, hypers.aggregator, ctx.mean_adj)
-        z = np.concatenate([agg, layers[k]], axis=1) @ params[M.layer_weight_name(k)].T
-        if M.layer_bias_name(k) in params:
-            z = z + params[M.layer_bias_name(k)]
-        aggs.append(agg)
-        zs.append(z)
-        layers.append(M.relu(z))
-    cache["layers"] = layers
-    cache["aggs"] = aggs
-    cache["zs"] = zs
-    cache["U"] = layers[-1] + ctx.hist @ V
-    return cache
-
-
 def _batch_arrays(batch):
     users = np.array([s.user for s in batch], dtype=int)
     pos = np.array([s.pos_item for s in batch], dtype=int)
@@ -164,14 +102,11 @@ def _batch_arrays(batch):
     return users, pos, neg
 
 
-def _pair_mean_loss(cache, batch, literal):
+def _pair_mean_loss(U, V, batch):
     if not batch:
         return 0.0
     users, pos, neg = _batch_arrays(batch)
-    U, V = cache["U"], cache["V"]
     margins = np.einsum("ij,ij->i", U[users], V[pos] - V[neg])
-    if literal:
-        return float(np.mean(expit(margins)))
     return float(np.mean(np.logaddexp(0.0, -margins)))
 
 
@@ -179,51 +114,48 @@ def _reg_term(params, lambda_reg):
     return lambda_reg * (float(np.sum(params["P"] ** 2)) + float(np.sum(params["Q"] ** 2)))
 
 
-def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0, literal=False, ctx=None):
+def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0, graph=None):
     """Mean pairwise loss over the batch plus lambda * (|P|^2 + |Q|^2).
 
     The regularizer is added once per batch, not scaled by batch size; an
     empty batch contributes a vacuous mean of 0.
     """
-    if ctx is None:
-        ctx = _GraphContext(bundle, hypers)
-    cache = _forward_cache(params, hypers, ctx)
-    return _pair_mean_loss(cache, batch, literal) + _reg_term(params, lambda_reg)
+    U, V, _ = M.forward_all(params, hypers, bundle, graph)
+    return _pair_mean_loss(U, V, batch) + _reg_term(params, lambda_reg)
 
 
 # ---------------------------------------------------------------------------
 # manual reverse mode
 
 
-def _backward(params, hypers, ctx, cache, batch, lambda_reg, literal):
+def _backward(params, hypers, bundle, graph, forward, batch, lambda_reg):
+    """Gradients of batch_loss, read off the (U, V, state) of forward_all.
+
+    ReLU'(z) is taken as relu(z) > 0, which equals z > 0 (subgradient 0 at
+    the kink), so the pre-activations need not be kept.
+    """
+    U, V, state = forward
     grads = params.zeros_like()
     D = hypers.D
-    M_users = ctx.bundle.num_users
-    N_items = ctx.bundle.num_items
-    gU = np.zeros((M_users, D))
-    gV = np.zeros((N_items, D))
+    gU = np.zeros((bundle.num_users, D))
+    gV = np.zeros((bundle.num_items, D))
 
     if batch:
         users, pos, neg = _batch_arrays(batch)
-        U, V = cache["U"], cache["V"]
         margins = np.einsum("ij,ij->i", U[users], V[pos] - V[neg])
-        if literal:
-            s = expit(margins)
-            dm = s * (1.0 - s) / len(batch)
-        else:
-            dm = -expit(-margins) / len(batch)
+        dm = -expit(-margins) / len(batch)
         np.add.at(gU, users, dm[:, None] * (V[pos] - V[neg]))
         np.add.at(gV, pos, dm[:, None] * U[users])
         np.add.at(gV, neg, -dm[:, None] * U[users])
 
     # U = h^K + hist @ V
-    gV += ctx.hist_t @ gU
+    gV += graph.hist_t @ gU
     gH = gU
 
-    layers, aggs, zs = cache["layers"], cache["aggs"], cache["zs"]
+    layers = state.layers
     for k in range(hypers.K - 1, -1, -1):
-        gZ = gH * (zs[k] > 0.0)  # ReLU'(0) = 0
-        inputs = np.concatenate([aggs[k], layers[k]], axis=1)
+        gZ = gH * (layers[k + 1] > 0.0)
+        inputs = np.concatenate([state.aggs[k], layers[k]], axis=1)
         grads[M.layer_weight_name(k)] += gZ.T @ inputs
         if M.layer_bias_name(k) in grads.arrays:
             grads[M.layer_bias_name(k)] += gZ.sum(axis=0)
@@ -231,25 +163,23 @@ def _backward(params, hypers, ctx, cache, batch, lambda_reg, literal):
         gAgg = gcat[:, :D]
         gH = gcat[:, D:].copy()
         if hypers.aggregator == M.AGG_AVERAGE:
-            gH += ctx.mean_adj_t @ gAgg
+            gH += graph.mean_adj_t @ gAgg
         else:
-            cols = np.arange(D)
-            for a, nbrs in enumerate(ctx.bundle.social.followees_by_user):
-                if not nbrs:
-                    continue
-                nbrs = np.asarray(nbrs)
-                winners = nbrs[layers[k][nbrs].argmax(axis=0)]
-                np.add.at(gH, (winners, cols), gAgg[a])
+            # each column's gradient goes to the followee that won it, users
+            # in ascending order so the sums match a per-user scatter
+            winners = state.winners[k]
+            has = winners[:, 0] >= 0
+            np.add.at(gH, (winners[has], np.arange(D)), gAgg[has])
 
     if hypers.with_features:
-        gZ0 = gH * (cache["Z0"] > 0.0)
-        grads["W0"] += gZ0.T @ np.concatenate([ctx.X, params["P"]], axis=1)
+        X = bundle.user_features.vectors
+        gZ0 = gH * (layers[0] > 0.0)
+        grads["W0"] += gZ0.T @ np.concatenate([X, params["P"]], axis=1)
         if "b0" in grads.arrays:
             grads["b0"] += gZ0.sum(axis=0)
-        d1 = ctx.X.shape[1]
-        grads["P"] += gZ0 @ params["W0"][:, d1:]
-        gZV = gV * (cache["ZV"] > 0.0)
-        grads["F"] += gZV.T @ np.concatenate([params["Q"], ctx.Y], axis=1)
+        grads["P"] += gZ0 @ params["W0"][:, X.shape[1] :]
+        gZV = gV * (V > 0.0)
+        grads["F"] += gZV.T @ np.concatenate([params["Q"], bundle.item_features.vectors], axis=1)
         if "bF" in grads.arrays:
             grads["bF"] += gZV.sum(axis=0)
         grads["Q"] += gZV @ params["F"][:, : hypers.L]
@@ -262,12 +192,11 @@ def _backward(params, hypers, ctx, cache, batch, lambda_reg, literal):
     return grads
 
 
-def compute_gradients(params, hypers, bundle, batch, lambda_reg=0.0, literal=False, ctx=None):
+def compute_gradients(params, hypers, bundle, batch, lambda_reg=0.0, graph=None):
     """Exact gradients of batch_loss w.r.t. every model tensor."""
-    if ctx is None:
-        ctx = _GraphContext(bundle, hypers)
-    cache = _forward_cache(params, hypers, ctx)
-    grads = _backward(params, hypers, ctx, cache, batch, lambda_reg, literal)
+    graph = M.Graph(bundle) if graph is None else graph
+    forward = M.forward_all(params, hypers, bundle, graph)
+    grads = _backward(params, hypers, bundle, graph, forward, batch, lambda_reg)
     if not grads.all_finite():
         raise DivergenceError("non-finite gradient")
     return grads
@@ -307,11 +236,11 @@ def finite_difference_check(
     If the check lands on a ReLU/max kink it retries at a jittered point.
     loss_fn/grad_fn can be injected to self-test the harness.
     """
-    shared_ctx = _GraphContext(bundle, hypers) if (loss_fn is None or grad_fn is None) else None
+    graph = M.Graph(bundle) if (loss_fn is None or grad_fn is None) else None
     if loss_fn is None:
-        loss_fn = lambda p: batch_loss(p, hypers, bundle, batch, lambda_reg, ctx=shared_ctx)
+        loss_fn = lambda p: batch_loss(p, hypers, bundle, batch, lambda_reg, graph)
     if grad_fn is None:
-        grad_fn = lambda p: compute_gradients(p, hypers, bundle, batch, lambda_reg, ctx=shared_ctx)
+        grad_fn = lambda p: compute_gradients(p, hypers, bundle, batch, lambda_reg, graph)
     rng = np.random.default_rng(seed)
     work = params.copy()
     report = None
@@ -404,7 +333,7 @@ def train(bundle, hypers, config):
     d1 = bundle.user_features.dim if bundle.user_features is not None else 0
     d2 = bundle.item_features.dim if bundle.item_features is not None else 0
     params = M.init_params(hypers, bundle.num_users, bundle.num_items, d1, d2, seed=config.seed)
-    ctx = _GraphContext(bundle, hypers)
+    graph = M.Graph(bundle)
     adam = AdamState.init(params)
 
     has_val = bundle.validation.num_edges > 0
@@ -429,14 +358,12 @@ def train(bundle, hypers, config):
         losses = []
         for start in range(0, len(samples), config.batch_size):
             batch = [samples[k] for k in order[start : start + config.batch_size]]
-            cache = _forward_cache(params, hypers, ctx)
-            loss = _pair_mean_loss(cache, batch, config.use_literal_loss) + _reg_term(
-                params, config.lambda_reg
-            )
+            U, V, state = M.forward_all(params, hypers, bundle, graph)
+            loss = _pair_mean_loss(U, V, batch) + _reg_term(params, config.lambda_reg)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             grads = _backward(
-                params, hypers, ctx, cache, batch, config.lambda_reg, config.use_literal_loss
+                params, hypers, bundle, graph, (U, V, state), batch, config.lambda_reg
             )
             if not grads.all_finite():
                 raise DivergenceError(f"non-finite gradient at epoch {epoch}")

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -112,6 +114,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def rewrite_header(self, path, edit):
+        """Re-pack a saved checkpoint after edit(header) changes its JSON header."""
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 12)
+        header = json.loads(raw[20 : 20 + hlen])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(new)) + new + raw[20 + hlen :])
+
+    @pytest.mark.parametrize("key", ["blocks", "fingerprint", "hyperparams"])
+    def test_missing_header_entry_names_it(self, tmp_path, key):
+        hy, params = self.make()
+        path = tmp_path / "g.bin"
+        save_checkpoint(path, hy, params, "fp")
+        self.rewrite_header(path, lambda h: h.pop(key))
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
+    def test_unknown_hyperparam_names_it(self, tmp_path):
+        hy, params = self.make()
+        path = tmp_path / "h.bin"
+        save_checkpoint(path, hy, params, "fp")
+        self.rewrite_header(path, lambda h: h["hyperparams"].update(depth=3))
+        with pytest.raises(CheckpointError, match="depth"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.bin"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
@@ -178,6 +206,16 @@ class TestEvaluateCommand:
             == 0
         )
 
+    def test_checkpoint_for_other_user_count(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, synth_users=40)
+        cli.main(["train", "--config", cfg])
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        other = write_config(tmp_path, name="other.txt", synth_users=50)
+        capsys.readouterr()
+        argv = ["evaluate", "--config", other, "--checkpoint", ckpt, "--allow-mismatch"]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "checkpoint block 'P' has 40 rows, dataset has 50 users" in capsys.readouterr().err
+
     def test_corrupt_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path)
         cli.main(["train", "--config", cfg])
@@ -217,6 +255,16 @@ class TestPredictCommand:
         items = {int(l.split("\t")[0]) for l in capsys.readouterr().out.splitlines() if "\t" in l}
         bundle = cli.build_bundle(cli.parse_config(cfg))
         assert not (items & set(bundle.train.positives_by_user[2]))
+
+    def test_checkpoint_for_other_user_count(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, synth_users=40)
+        cli.main(["train", "--config", cfg])
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        other = write_config(tmp_path, name="other.txt", synth_users=50)
+        capsys.readouterr()
+        argv = ["predict", "--config", other, "--checkpoint", ckpt, "--user", "0"]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "checkpoint block 'P' has 40 rows, dataset has 50 users" in capsys.readouterr().err
 
     def test_unknown_user(self, tmp_path):
         cfg = write_config(tmp_path)

