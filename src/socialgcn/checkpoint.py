@@ -8,6 +8,7 @@ size mismatch, naming the offending block.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -90,6 +91,28 @@ def save_checkpoint(path, hypers, params, fingerprint, log_tail=(), meta=None):
     atomic_write_bytes(path, bytes(out))
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _block_entry(path, index, block):
+    """(name, shape, nbytes) of one header block entry, checked against its payload size."""
+    if not isinstance(block, dict) or not isinstance(block.get("name"), str):
+        raise CheckpointError(f"{path}: block {index} has no string 'name'")
+    name = block["name"]
+    shape = block.get("shape")
+    if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
+        raise CheckpointError(f"{path}: block {name!r} has no valid 'shape' (a list of sizes >= 0)")
+    if block.get("dtype") != "<f8":
+        raise CheckpointError(f"{path}: block {name!r} has dtype {block.get('dtype')!r}, want '<f8'")
+    nbytes = block.get("nbytes")
+    if not _is_int(nbytes) or nbytes != 8 * math.prod(shape):
+        raise CheckpointError(
+            f"{path}: block {name!r} has nbytes {nbytes!r}, shape {shape} needs {8 * math.prod(shape)}"
+        )
+    return name, tuple(shape), nbytes
+
+
 def load_checkpoint(path):
     try:
         with open(path, "rb") as fh:
@@ -118,16 +141,14 @@ def load_checkpoint(path):
         if key not in header:
             raise CheckpointError(f"{path}: header has no {key!r} entry")
 
+    if not isinstance(header["blocks"], list):
+        raise CheckpointError(f"{path}: header 'blocks' is not a list")
     arrays = {}
-    for block in header["blocks"]:
-        name = block["name"]
-        nbytes = block["nbytes"]
+    for index, block in enumerate(header["blocks"]):
+        name, shape, nbytes = _block_entry(path, index, block)
         if off + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload for block {name!r}")
-        arr = np.frombuffer(raw[off : off + nbytes], dtype=block["dtype"]).astype(np.float64)
-        shape = tuple(block["shape"])
-        if arr.size != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: size mismatch in block {name!r}")
+        arr = np.frombuffer(raw[off : off + nbytes], dtype="<f8").astype(np.float64)
         arrays[name] = arr.reshape(shape)
         off += nbytes
     if off != len(raw):

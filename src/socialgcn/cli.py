@@ -96,6 +96,12 @@ class RunConfig:
                 raise ConfigError("social file required (or set synthetic=true)")
             if self.mode == M.FEATURES and (not self.user_features or not self.item_features):
                 raise ConfigError("feature mode requires user_features and item_features files")
+        if self.aggregator not in (M.AGG_AVERAGE, M.AGG_MAX):
+            raise ConfigError(f"aggregator must be 'average' or 'max', got {self.aggregator!r}")
+        if self.k < 0:
+            raise ConfigError(f"k (diffusion depth) must be >= 0, got {self.k}")
+        if not self.n or any(n < 1 for n in self.n):
+            raise ConfigError(f"n must list cutoffs >= 1, got {self.n}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         for name in self.variants:
@@ -340,16 +346,16 @@ def cmd_predict(args):
     if not (0 <= args.user < bundle.num_users):
         raise D.DataError(f"unknown user id {args.user} (have {bundle.num_users} users)")
     U, V, _ = M.forward_all(ckpt.params, ckpt.hypers, bundle)
-    seen = set(bundle.train.positives_by_user[args.user])
-    items = [i for i in range(bundle.num_items) if i not in seen]
-    if not items:
+    items = E.unrated_items(bundle.num_items, bundle.train.positives_by_user[args.user])
+    if not len(items):
         print("all items are training positives for this user; nothing to recommend",
               file=sys.stderr)
         return EXIT_OK
-    scores = V[np.asarray(items)] @ U[args.user]
-    order = sorted(range(len(items)), key=lambda t: (-scores[t], items[t]))
-    for t in order[: args.top_n]:
-        print(f"{items[t]}\t{scores[t]:.12g}")
+    scores = V[items] @ U[args.user]
+    score_of = np.empty(bundle.num_items)
+    score_of[items] = scores
+    for i in E.rank_candidates(items, scores)[: args.top_n]:
+        print(f"{i}\t{score_of[i]:.12g}")
     return EXIT_OK
 
 

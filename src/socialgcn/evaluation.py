@@ -73,22 +73,28 @@ def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test"):
         positives = target.positives_by_user[a]
         if not positives:
             continue
-        rated = bundle.all_positive_items(a)
-        unrated = np.array([i for i in range(n_items) if i not in rated], dtype=int)
+        unrated = unrated_items(n_items, bundle.all_positive_items(a))
         if len(unrated) > num_negatives:
             sampled = rng.choice(unrated, size=num_negatives, replace=False)
         else:
             sampled = unrated
         tasks.append(
-            RankingTask(user=a, positives=list(positives), candidates=list(positives) + [int(i) for i in sampled])
+            RankingTask(user=a, positives=list(positives), candidates=list(positives) + sampled.tolist())
         )
     return tasks
 
 
+def unrated_items(num_items, rated):
+    """Ascending ids in range(num_items) that are not in `rated`."""
+    mask = np.ones(num_items, dtype=bool)
+    mask[list(rated)] = False
+    return np.flatnonzero(mask)
+
+
 def rank_candidates(candidates, scores):
     """Sort candidates by descending score, ties broken by ascending item id."""
-    order = sorted(range(len(candidates)), key=lambda t: (-scores[t], candidates[t]))
-    return [candidates[t] for t in order]
+    candidates = np.asarray(candidates)
+    return candidates[np.lexsort((candidates, -np.asarray(scores)))].tolist()
 
 
 def hit_ratio_at_n(ranked, positives, n):

@@ -210,22 +210,33 @@ class DiffusionState:
 def aggregate_all(layer, social, aggregator=AGG_AVERAGE, mean_adj=None):
     """Pool every user's followees' vectors; an empty ego net gives zeros.
 
-    Returns (aggregate, winners). The max aggregator breaks a tie for a
-    column's maximum towards the lowest followee id, as argmax does.
+    Returns (aggregate, winners). `mean_adj` is the follow adjacency of
+    `mean_adjacency`; its CSR rows also list each user's followees for the
+    max aggregator. The max aggregator breaks a tie for a column's maximum
+    towards the lowest followee id, as argmax does.
     """
+    A = mean_adjacency(social) if mean_adj is None else mean_adj
     if aggregator == AGG_AVERAGE:
-        A = mean_adjacency(social) if mean_adj is None else mean_adj
         return A @ layer, None
     out = np.zeros_like(layer)
     winners = np.full(layer.shape, -1)
-    cols = np.arange(layer.shape[1])
-    for a, nbrs in enumerate(social.followees_by_user):
-        if nbrs:
-            nbrs = np.asarray(nbrs)
-            block = layer[nbrs]
-            best = block.argmax(axis=0)
-            winners[a] = nbrs[best]
-            out[a] = block[best, cols]
+    degree = np.diff(A.indptr)
+    rows = np.flatnonzero(degree)
+    if len(rows) == 0:
+        return out, winners
+    # the non-empty rows' followee lists are contiguous in A.indices, so
+    # each reduceat segment runs from its row's start to the next one's
+    starts = A.indptr[rows]
+    vals = layer[A.indices]
+    seg_max = np.maximum.reduceat(vals, starts, axis=0)
+    # first position not below the maximum: argmax's winner (or, when the
+    # maximum is NaN, the segment's first row; the outputs are NaN either way)
+    below = vals < np.repeat(seg_max, degree[rows], axis=0)
+    position = np.where(below, len(vals), np.arange(len(vals))[:, None])
+    first = np.minimum.reduceat(position, starts, axis=0)
+    winners[rows] = A.indices[first]
+    # gathered rather than taken from seg_max, which may hold the other zero sign
+    out[rows] = layer[winners[rows], np.arange(layer.shape[1])]
     return out, winners
 
 

@@ -8,6 +8,7 @@ gradient apart from the L2 term on P and Q.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -47,11 +48,23 @@ class TrainConfig:
             raise TrainingError("seed must be non-negative")
 
 
-@dataclass
-class PairwiseSample:
-    user: int
-    pos_item: int
-    neg_item: int
+@dataclass(eq=False)
+class Pairs:
+    """Training triples as parallel int arrays: users[t] rated pos[t], not neg[t].
+
+    Indexing with a slice or an index array selects triples, so a batch is
+    `pairs[order[start:stop]]`.
+    """
+
+    users: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+
+    def __len__(self):
+        return len(self.users)
+
+    def __getitem__(self, index):
+        return Pairs(self.users[index], self.pos[index], self.neg[index])
 
 
 # ---------------------------------------------------------------------------
@@ -59,31 +72,46 @@ class PairwiseSample:
 
 
 def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
-    """Draw negatives for every training positive.
+    """Draw negatives for every training positive; returns (Pairs, skipped users).
 
-    For each observed (a, i) emits `negatives_per_positive` samples with a
+    For each observed (a, i) emits `negatives_per_positive` triples with a
     uniform unobserved j. Fresh negatives every epoch (the epoch index is
     folded into the stream seed); users who rated the whole catalog are
-    skipped and counted.
+    skipped and counted. Each user's negatives are the accepted draws of
+    rejection sampling in stream order: a block of `rng.integers(n, size=k)`
+    is the same stream as k scalar draws, so drawing the missing count in
+    blocks consumes the Generator exactly as one draw per negative would.
     """
     rng = np.random.default_rng([rng_seed, epoch])
-    samples = []
-    skipped_users = 0
     n_items = train.num_items
+    rated = np.zeros(n_items, dtype=bool)
+    kept, drawn = [], []
+    skipped_users = 0
     for a, items in enumerate(train.positives_by_user):
         if not items:
             continue
-        pos_set = set(items)
-        if len(pos_set) >= n_items:
+        if len(items) >= n_items:
             skipped_users += 1
             continue
-        for i in items:
-            for _ in range(negatives_per_positive):
-                j = int(rng.integers(n_items))
-                while j in pos_set:
-                    j = int(rng.integers(n_items))
-                samples.append(PairwiseSample(a, i, j))
-    return samples, skipped_users
+        kept.append(a)
+        items = np.asarray(items)
+        rated[items] = True
+        need = len(items) * negatives_per_positive
+        while need:
+            block = rng.integers(n_items, size=need)
+            block = block[~rated[block]]
+            drawn.append(block)
+            need -= len(block)
+        rated[items] = False
+    rows = [train.positives_by_user[a] for a in kept]
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    items = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=counts.sum())
+    pairs = Pairs(
+        users=np.repeat(np.asarray(kept, dtype=np.int64), counts * negatives_per_positive),
+        pos=np.repeat(items, negatives_per_positive),
+        neg=np.concatenate(drawn or [np.zeros(0, dtype=np.int64)]),
+    )
+    return pairs, skipped_users
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +123,10 @@ def bpr_pair_loss(score_pos, score_neg):
     return float(np.logaddexp(0.0, -(score_pos - score_neg)))
 
 
-def _batch_arrays(batch):
-    users = np.array([s.user for s in batch], dtype=int)
-    pos = np.array([s.pos_item for s in batch], dtype=int)
-    neg = np.array([s.neg_item for s in batch], dtype=int)
-    return users, pos, neg
-
-
 def _pair_mean_loss(U, V, batch):
     if not batch:
         return 0.0
-    users, pos, neg = _batch_arrays(batch)
+    users, pos, neg = batch.users, batch.pos, batch.neg
     margins = np.einsum("ij,ij->i", U[users], V[pos] - V[neg])
     return float(np.mean(np.logaddexp(0.0, -margins)))
 
@@ -137,16 +158,28 @@ def _backward(params, hypers, bundle, graph, forward, batch, lambda_reg):
     U, V, state = forward
     grads = params.zeros_like()
     D = hypers.D
-    gU = np.zeros((bundle.num_users, D))
-    gV = np.zeros((bundle.num_items, D))
+    num_users, num_items = bundle.num_users, bundle.num_items
 
     if batch:
-        users, pos, neg = _batch_arrays(batch)
-        margins = np.einsum("ij,ij->i", U[users], V[pos] - V[neg])
-        dm = -expit(-margins) / len(batch)
-        np.add.at(gU, users, dm[:, None] * (V[pos] - V[neg]))
-        np.add.at(gV, pos, dm[:, None] * U[users])
-        np.add.at(gV, neg, -dm[:, None] * U[users])
+        users, pos, neg = batch.users, batch.pos, batch.neg
+        Uu = U[users]
+        Vd = V[pos] - V[neg]
+        margins = np.einsum("ij,ij->i", Uu, Vd)
+        dm = (-expit(-margins) / len(batch))[:, None]
+        # bincount adds each flat index's weights from 0.0 in input order,
+        # the sums a per-triple scatter makes; gV takes pos then neg
+        cols = np.arange(D)
+        gU = np.bincount(
+            (users[:, None] * D + cols).ravel(), (dm * Vd).ravel(), num_users * D
+        ).reshape(num_users, D)
+        gV = np.bincount(
+            (np.concatenate([pos, neg])[:, None] * D + cols).ravel(),
+            np.concatenate([dm * Uu, -dm * Uu]).ravel(),
+            num_items * D,
+        ).reshape(num_items, D)
+    else:
+        gU = np.zeros((num_users, D))
+        gV = np.zeros((num_items, D))
 
     # U = h^K + hist @ V
     gV += graph.hist_t @ gU
@@ -357,7 +390,7 @@ def train(bundle, hypers, config):
         order = np.random.default_rng([config.seed, epoch, 1]).permutation(len(samples))
         losses = []
         for start in range(0, len(samples), config.batch_size):
-            batch = [samples[k] for k in order[start : start + config.batch_size]]
+            batch = samples[order[start : start + config.batch_size]]
             U, V, state = M.forward_all(params, hypers, bundle, graph)
             loss = _pair_mean_loss(U, V, batch) + _reg_term(params, config.lambda_reg)
             if not np.isfinite(loss):

@@ -1,8 +1,9 @@
-"""Per-entity reference operations, one user or item at a time.
+"""Per-entity reference operations, one user, item or sample at a time.
 
-The package computes the model over whole matrices (`model.forward_all`).
-These functions compute the same quantities entity by entity, with the
-shape checks of the scalar definitions, so tests can compare the two.
+The package computes the model over whole matrices (`model.forward_all`)
+and draws negatives in blocks (`training.sample_pairs`). These functions
+compute the same quantities entity by entity, with the shape checks of the
+scalar definitions, so tests can compare the two.
 """
 import numpy as np
 
@@ -99,3 +100,43 @@ def score_all_items(params, hypers, bundle, user, candidate_items):
     cand = np.asarray(candidate_items, dtype=int)
     scores = V[cand] @ U[user]
     return [(int(i), float(s)) for i, s in zip(cand, scores)]
+
+
+def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
+    """Negative sampling one scalar Generator draw at a time.
+
+    Returns ([(user, pos_item, neg_item), ...], skipped users).
+    """
+    rng = np.random.default_rng([rng_seed, epoch])
+    samples = []
+    skipped_users = 0
+    n_items = train.num_items
+    for a, items in enumerate(train.positives_by_user):
+        if not items:
+            continue
+        pos_set = set(items)
+        if len(pos_set) >= n_items:
+            skipped_users += 1
+            continue
+        for i in items:
+            for _ in range(negatives_per_positive):
+                j = int(rng.integers(n_items))
+                while j in pos_set:
+                    j = int(rng.integers(n_items))
+                samples.append((a, i, j))
+    return samples, skipped_users
+
+
+def aggregate_max(layer, social):
+    """Max pooling one user at a time: (aggregate, argmax winners, -1 if no followees)."""
+    out = np.zeros_like(layer)
+    winners = np.full(layer.shape, -1)
+    cols = np.arange(layer.shape[1])
+    for a, nbrs in enumerate(social.followees_by_user):
+        if nbrs:
+            nbrs = np.asarray(nbrs)
+            block = layer[nbrs]
+            best = block.argmax(axis=0)
+            winners[a] = nbrs[best]
+            out[a] = block[best, cols]
+    return out, winners

@@ -70,6 +70,17 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="bogus"):
             cli.parse_config(path).validate()
 
+    @pytest.mark.parametrize(
+        "key,value,named",
+        [("aggregator", "bogus", "aggregator"), ("k", "-1", "k"), ("n", "0", "n"), ("n", "5,0", "n")],
+    )
+    def test_bad_model_or_cutoff_is_config_error(self, tmp_path, capsys, key, value, named):
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(cli.ConfigError, match=f"^{named} "):
+            cli.parse_config(path).validate()
+        assert cli.main(["train", "--config", path]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
 
 class TestCheckpoint:
     def make(self):
@@ -138,6 +149,26 @@ class TestCheckpoint:
         save_checkpoint(path, hy, params, "fp")
         self.rewrite_header(path, lambda h: h["hyperparams"].update(depth=3))
         with pytest.raises(CheckpointError, match="depth"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda b: b.pop("name"), "block 0 has no string 'name'"),
+            (lambda b: b.pop("shape"), "block 'P' has no valid 'shape'"),
+            (lambda b: b.update(shape=[-5, 2]), "block 'P' has no valid 'shape'"),
+            (lambda b: b.pop("nbytes"), "block 'P' has nbytes None"),
+            (lambda b: b.update(nbytes=b["nbytes"] - 8), "block 'P' has nbytes"),
+            (lambda b: b.update(dtype="<f4"), "block 'P' has dtype '<f4'"),
+        ],
+        ids=["no-name", "no-shape", "negative-shape", "no-nbytes", "wrong-nbytes", "dtype"],
+    )
+    def test_bad_block_entry_names_block(self, tmp_path, edit, message):
+        hy, params = self.make()
+        path = tmp_path / "i.bin"
+        save_checkpoint(path, hy, params, "fp")
+        self.rewrite_header(path, lambda h: edit(h["blocks"][0]))
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
@@ -265,6 +296,31 @@ class TestPredictCommand:
         argv = ["predict", "--config", other, "--checkpoint", ckpt, "--user", "0"]
         assert cli.main(argv) == cli.EXIT_DATA
         assert "checkpoint block 'P' has 40 rows, dataset has 50 users" in capsys.readouterr().err
+
+    def test_tied_scores_rank_by_item_id(self, tmp_path, capsys):
+        # integer item vectors on a 2-dim featureless model tie many scores
+        cfg = write_config(tmp_path, mode="featureless", dim=2, latent=2, k=0)
+        bundle = cli.build_bundle(cli.parse_config(cfg))
+        hy = M.HyperParams(D=2, L=2, K=0, feature_mode=M.FEATURELESS)
+        rng = np.random.default_rng(0)
+        params = M.ModelParams({
+            "P": rng.integers(-2, 3, size=(bundle.num_users, 2)).astype(float),
+            "Q": rng.integers(-1, 2, size=(bundle.num_items, 2)).astype(float),
+        })
+        ckpt = str(tmp_path / "tied.bin")
+        save_checkpoint(ckpt, hy, params, bundle.fingerprint())
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", cfg, "--checkpoint", ckpt,
+                         "--user", "3", "--top-n", "1000"]) == 0
+        out = capsys.readouterr().out
+        U, V, _ = M.forward_all(params, hy, bundle)
+        seen = set(bundle.train.positives_by_user[3])
+        items = [i for i in range(bundle.num_items) if i not in seen]
+        scores = V[np.asarray(items)] @ U[3]
+        order = sorted(range(len(items)), key=lambda t: (-scores[t], items[t]))
+        assert out == "".join(f"{items[t]}\t{scores[t]:.12g}\n" for t in order)
+        printed = [l.split("\t")[1] for l in out.splitlines()]
+        assert len(set(printed)) < len(printed) / 2  # the order rests on ties
 
     def test_unknown_user(self, tmp_path):
         cfg = write_config(tmp_path)

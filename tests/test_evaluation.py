@@ -95,6 +95,17 @@ class TestBruteForceOracle:
             assert E.ndcg_at_n(ranked, positives, n) == pytest.approx(ndcg_bf, abs=1e-12)
 
 
+class TestRankCandidates:
+    def test_matches_sorted_with_ties(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n_cand = int(rng.integers(1, 40))
+            candidates = [int(c) for c in rng.choice(500, size=n_cand, replace=False)]
+            scores = rng.integers(-2, 3, size=n_cand) * 0.5  # many exact ties
+            want = sorted(range(n_cand), key=lambda t: (-scores[t], candidates[t]))
+            assert E.rank_candidates(candidates, scores) == [candidates[t] for t in want]
+
+
 class TestBuildTasks:
     def bundle(self):
         return D.generate_synthetic(D.SyntheticSpec(users=20, items=50, seed=2))

@@ -114,6 +114,25 @@ class TestAggregation:
             base = O.aggregate_neighbors(layer, list(range(5)), agg)
             np.testing.assert_allclose(O.aggregate_neighbors(layer, perm, agg), base, rtol=1e-12)
 
+    def test_max_matches_per_user_loop(self):
+        # integer-valued layers force column ties; users 0 and n-1 have no
+        # followees, and the zeros of the ReLU cases tie as well
+        rng = np.random.default_rng(5)
+        for case in range(40):
+            n, d = int(rng.integers(2, 25)), int(rng.integers(1, 5))
+            edges = [(a, b) for a in range(1, n - 1) for b in range(n) if a != b and rng.random() < 0.3]
+            social = D.SocialGraph.from_edges(edges, n)
+            layer = rng.integers(-2, 3, size=(n, d)).astype(float)
+            if case % 3 == 1:
+                layer = M.relu(layer)
+            elif case % 3 == 2:
+                layer = rng.normal(size=(n, d))
+            out, winners = M.aggregate_all(layer, social, M.AGG_MAX)
+            want_out, want_winners = O.aggregate_max(layer, social)
+            assert out.tobytes() == want_out.tobytes()
+            assert winners.dtype == want_winners.dtype
+            assert np.array_equal(winners, want_winners)
+
     def test_average_bounded_by_neighbor_range(self):
         rng = np.random.default_rng(4)
         layer = rng.normal(size=(6, 3))

@@ -20,36 +20,73 @@ def tiny_bundle(users=6, items=5, seed=0):
     return D.generate_synthetic(D.SyntheticSpec(users=users, items=items, seed=seed))
 
 
+def pairs(*triples):
+    """T.Pairs from (user, pos_item, neg_item) triples."""
+    users, pos, neg = (np.array(column, dtype=np.int64) for column in zip(*triples))
+    return T.Pairs(users, pos, neg)
+
+
+def triples(samples):
+    return list(zip(samples.users, samples.pos, samples.neg))
+
+
 class TestSamplePairs:
     def test_five_negatives_per_positive(self):
         train = D.InteractionMatrix.from_edges([(0, 0)], 1, 20)
         bundle_train = train
         samples, skipped = T.sample_pairs(bundle_train, 5, rng_seed=0)
         assert len(samples) == 5 and skipped == 0
-        for s in samples:
-            assert (s.user, s.pos_item) == (0, 0)
-            assert s.neg_item != 0
+        for a, i, j in triples(samples):
+            assert (a, i) == (0, 0)
+            assert j != 0
 
     def test_negatives_are_unobserved(self):
         bundle = tiny_bundle(seed=2)
         samples, _ = T.sample_pairs(bundle.train, 5, rng_seed=1)
-        for s in samples:
-            assert not bundle.train.has(s.user, s.neg_item)
-            assert bundle.train.has(s.user, s.pos_item)
+        for a, i, j in triples(samples):
+            assert not bundle.train.has(a, j)
+            assert bundle.train.has(a, i)
 
     def test_saturated_user_skipped_with_count(self):
         train = D.InteractionMatrix.from_edges([(0, i) for i in range(3)] + [(1, 0)], 2, 3)
         samples, skipped = T.sample_pairs(train, 5, rng_seed=0)
         assert skipped == 1
-        assert all(s.user == 1 for s in samples)
+        assert all(a == 1 for a in samples.users)
 
     def test_epoch_changes_negatives_but_reproducibly(self):
         train = D.InteractionMatrix.from_edges([(0, 0)], 1, 1000)
         e0a, _ = T.sample_pairs(train, 5, rng_seed=7, epoch=0)
         e0b, _ = T.sample_pairs(train, 5, rng_seed=7, epoch=0)
         e1, _ = T.sample_pairs(train, 5, rng_seed=7, epoch=1)
-        assert [s.neg_item for s in e0a] == [s.neg_item for s in e0b]
-        assert [s.neg_item for s in e0a] != [s.neg_item for s in e1]
+        assert e0a.neg.tolist() == e0b.neg.tolist()
+        assert e0a.neg.tolist() != e1.neg.tolist()
+
+    def test_block_draws_equal_scalar_draws(self):
+        for n in (7, 400, 2000, 123457):
+            blocks = np.random.default_rng([n, 1])
+            scalars = np.random.default_rng([n, 1])
+            for size in (1, 3, 17, 5, 64, 2):
+                drawn = blocks.integers(n, size=size)
+                assert drawn.tolist() == [int(scalars.integers(n)) for _ in range(size)]
+
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(11)
+        for case in range(12):
+            n_users, n_items = int(rng.integers(4, 12)), int(rng.integers(2, 30))
+            rows = [[] for _ in range(n_users)]  # user 0 stays empty
+            rows[1] = list(range(n_items))  # saturated: skipped
+            rows[2] = [i for i in range(n_items) if i != case % n_items]  # one unrated item
+            for a in range(3, n_users):
+                rows[a] = sorted(rng.choice(n_items, size=int(rng.integers(0, n_items)), replace=False))
+            edges = [(a, int(i)) for a, row in enumerate(rows) for i in row]
+            train = D.InteractionMatrix.from_edges(edges, n_users, n_items)
+            for seed, epoch, k in ((case, 0, 5), (case + 100, 3, 1), (case, 1, 4)):
+                samples, skipped = T.sample_pairs(train, k, seed, epoch)
+                want, want_skipped = O.sample_pairs(train, k, seed, epoch)
+                assert skipped == want_skipped >= 1
+                expected = np.array(want, dtype=np.int64).reshape(-1, 3)
+                got = np.stack([samples.users, samples.pos, samples.neg], axis=1)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 class TestPairLoss:
@@ -122,9 +159,9 @@ class TestBatchLoss:
         )
         state = M.diffuse(params, hy, bundle.social, h0)
         total = 0.0
-        for s in batch:
-            u = O.user_embedding(state, s.user, bundle.train.positives_by_user[s.user], V)
-            m = O.predict(u, V[s.pos_item]) - O.predict(u, V[s.neg_item])
+        for a, i, j in triples(batch):
+            u = O.user_embedding(state, a, bundle.train.positives_by_user[a], V)
+            m = O.predict(u, V[i]) - O.predict(u, V[j])
             total += math.log(1.0 + math.exp(-m))
         expected = total / len(batch) + lam * (
             np.sum(params["P"] ** 2) + np.sum(params["Q"] ** 2)
@@ -159,7 +196,7 @@ class TestGradients:
         hy = M.HyperParams(D=2, L=2, K=1)
         params = M.init_params(hy, 3, 2, 2, 2, seed=5)
         rep = T.finite_difference_check(
-            params, hy, bundle, [T.PairwiseSample(0, 0, 1)], lambda_reg=1e-4
+            params, hy, bundle, pairs((0, 0, 1)), lambda_reg=1e-4
         )
         assert rep.passed, f"max rel err {rep.max_rel_err} ({rep.worst_tensor})"
         assert rep.max_rel_err < 1e-4
@@ -169,10 +206,9 @@ class TestGradients:
         hy = M.HyperParams(D=3, L=2, K=1)
         params = M.init_params(hy, 5, 8, 8, 8, seed=6)
         lam = 0.01
-        batch = [T.PairwiseSample(0, bundle.train.positives_by_user[0][0],
-                                  next(j for j in range(8)
-                                       if not bundle.train.has(0, j)))]
-        touched = {batch[0].pos_item, batch[0].neg_item}
+        batch = pairs((0, bundle.train.positives_by_user[0][0],
+                       next(j for j in range(8) if not bundle.train.has(0, j))))
+        touched = {int(batch.pos[0]), int(batch.neg[0])}
         touched.update(bundle.train.positives_by_user[0])
         grads = T.compute_gradients(params, hy, bundle, batch, lambda_reg=lam)
         for i in range(8):
@@ -210,7 +246,7 @@ class TestGradients:
             "Q": np.array([[1.0, 0.5], [0.2, 0.1]]),
             M.layer_weight_name(0): np.full((2, 4), 0.5),
         })
-        batch = [T.PairwiseSample(0, 0, 1)]
+        batch = pairs((0, 0, 1))
         tied = T.compute_gradients(params, hy, bundle, batch)
         assert tied["P"][1, 0] != 0.0
         assert tied["P"][2, 0] == 0.0
