@@ -8,7 +8,6 @@ gradient apart from the L2 term on P and Q.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -77,15 +76,18 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
     For each observed (a, i) emits `negatives_per_positive` triples with a
     uniform unobserved j. Fresh negatives every epoch (the epoch index is
     folded into the stream seed); users who rated the whole catalog are
-    skipped and counted. Each user's negatives are the accepted draws of
-    rejection sampling in stream order: a block of `rng.integers(n, size=k)`
-    is the same stream as k scalar draws, so drawing the missing count in
-    blocks consumes the Generator exactly as one draw per negative would.
+    skipped and counted (rows are duplicate-free, as from_edges makes
+    them, so a row as long as the catalog is all of it).
+
+    Each user's negatives are the accepted draws of rejection sampling in
+    stream order. A block `rng.integers(n, size=k)` is the same stream as k
+    scalar draws, so drawing the missing count in blocks consumes the
+    Generator exactly as one draw per negative would.
     """
     rng = np.random.default_rng([rng_seed, epoch])
     n_items = train.num_items
     rated = np.zeros(n_items, dtype=bool)
-    kept, drawn = [], []
+    users, pos, neg = [], [], []
     skipped_users = 0
     for a, items in enumerate(train.positives_by_user):
         if not items:
@@ -93,25 +95,19 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
         if len(items) >= n_items:
             skipped_users += 1
             continue
-        kept.append(a)
         items = np.asarray(items)
         rated[items] = True
         need = len(items) * negatives_per_positive
+        users.append(np.full(need, a))
+        pos.append(np.repeat(items, negatives_per_positive))
         while need:
             block = rng.integers(n_items, size=need)
             block = block[~rated[block]]
-            drawn.append(block)
+            neg.append(block)
             need -= len(block)
         rated[items] = False
-    rows = [train.positives_by_user[a] for a in kept]
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    items = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=counts.sum())
-    pairs = Pairs(
-        users=np.repeat(np.asarray(kept, dtype=np.int64), counts * negatives_per_positive),
-        pos=np.repeat(items, negatives_per_positive),
-        neg=np.concatenate(drawn or [np.zeros(0, dtype=np.int64)]),
-    )
-    return pairs, skipped_users
+    none = [np.zeros(0, dtype=np.int64)]
+    return Pairs(*(np.concatenate(arrays or none) for arrays in (users, pos, neg))), skipped_users
 
 
 # ---------------------------------------------------------------------------
