@@ -8,6 +8,7 @@ gradient apart from the L2 term on P and Q.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -86,28 +87,27 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
     """
     rng = np.random.default_rng([rng_seed, epoch])
     n_items = train.num_items
+    rows = train.positives_by_user
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    saturated = (lengths > 0) & (lengths >= n_items)
+    kept = np.flatnonzero((lengths > 0) & ~saturated)
+    users = np.repeat(kept, lengths[kept] * negatives_per_positive)
+    items = np.fromiter(itertools.chain.from_iterable(rows[a] for a in kept), dtype=np.int64)
+    pos = np.repeat(items, negatives_per_positive)
+    # each user's negatives are filled in place, so no per-user arrays pile up
+    neg = np.empty_like(pos)
     rated = np.zeros(n_items, dtype=bool)
-    users, pos, neg = [], [], []
-    skipped_users = 0
-    for a, items in enumerate(train.positives_by_user):
-        if not items:
-            continue
-        if len(items) >= n_items:
-            skipped_users += 1
-            continue
-        items = np.asarray(items)
-        rated[items] = True
-        need = len(items) * negatives_per_positive
-        users.append(np.full(need, a))
-        pos.append(np.repeat(items, negatives_per_positive))
-        while need:
-            block = rng.integers(n_items, size=need)
+    done = 0
+    for a in kept:
+        rated[rows[a]] = True
+        end = done + len(rows[a]) * negatives_per_positive
+        while done < end:
+            block = rng.integers(n_items, size=end - done)
             block = block[~rated[block]]
-            neg.append(block)
-            need -= len(block)
-        rated[items] = False
-    none = [np.zeros(0, dtype=np.int64)]
-    return Pairs(*(np.concatenate(arrays or none) for arrays in (users, pos, neg))), skipped_users
+            neg[done : done + len(block)] = block
+            done += len(block)
+        rated[rows[a]] = False
+    return Pairs(users, pos, neg), int(np.count_nonzero(saturated))
 
 
 # ---------------------------------------------------------------------------
