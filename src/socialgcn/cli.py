@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -33,6 +34,26 @@ EXIT_NUMERIC = 4
 
 class ConfigError(Exception):
     pass
+
+
+# The valid range of each numeric setting: a test, and the words that state it.
+_RANGES = {
+    "dim": (lambda v: v >= 1, ">= 1"),
+    "latent": (lambda v: v >= 1, ">= 1"),
+    "k": (lambda v: v >= 0, ">= 0"),
+    "negatives": (lambda v: v >= 1, ">= 1"),
+    "batch_size": (lambda v: v >= 1, ">= 1"),
+    "learning_rate": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "lambda_reg": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "max_epochs": (lambda v: v >= 0, ">= 0"),
+    "patience": (lambda v: v >= 1, ">= 1"),
+    "val_negatives": (lambda v: v >= 1, ">= 1"),
+    "eval_negatives": (lambda v: v >= 1, ">= 1"),
+    "repetitions": (lambda v: v >= 1, ">= 1"),
+    "test_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "validation_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+}
 
 
 @dataclass
@@ -98,12 +119,11 @@ class RunConfig:
                 raise ConfigError("feature mode requires user_features and item_features files")
         if self.aggregator not in (M.AGG_AVERAGE, M.AGG_MAX):
             raise ConfigError(f"aggregator must be 'average' or 'max', got {self.aggregator!r}")
-        if self.k < 0:
-            raise ConfigError(f"k (diffusion depth) must be >= 0, got {self.k}")
+        for name, (valid, bound) in _RANGES.items():
+            if not valid(getattr(self, name)):
+                raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)!r}")
         if not self.n or any(n < 1 for n in self.n):
             raise ConfigError(f"n must list cutoffs >= 1, got {self.n}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         for name in self.variants:
             if name not in E.ABLATION_VARIANTS:
                 raise ConfigError(
@@ -216,31 +236,30 @@ def build_bundle(cfg):
             seed=cfg.seed,
             clusters=cfg.synth_clusters,
         )
-        bundle = D.generate_synthetic(spec)
+        inter, social, uf, itf = D.synthetic_tables(spec)
         if cfg.mode == M.FEATURELESS:
-            bundle = replace(bundle, user_features=None, item_features=None)
-        return bundle
-
-    inter = D.load_interactions(cfg.interactions)
-    social = D.load_social(cfg.social)
-    if social.num_users != inter.num_users:
-        n = max(social.num_users, inter.num_users)
-        inter = D.InteractionMatrix.from_edges(inter.edges(), n, inter.num_items)
-        social = D.SocialGraph.from_edges(social.edges(), n)
-    user_map = item_map = None
-    if cfg.filter:
-        inter, social, user_map, item_map = D.preprocess_filter(
-            inter, social, cfg.min_ratings, cfg.min_links, cfg.min_item_degree
-        )
-    uf = itf = None
-    if cfg.mode == M.FEATURES:
-        uf = D.load_features(cfg.user_features, len(user_map) if user_map else inter.num_users)
-        itf = D.load_features(cfg.item_features, len(item_map) if item_map else inter.num_items)
-        if user_map is not None:
-            raise ConfigError(
-                "filter=true with feature files is unsupported: provide features "
-                "for the already-filtered id space"
+            uf = itf = None
+    else:
+        inter = D.load_interactions(cfg.interactions)
+        social = D.load_social(cfg.social)
+        if social.num_users != inter.num_users:
+            n = max(social.num_users, inter.num_users)
+            inter = D.InteractionMatrix.from_arrays(*inter.edge_arrays(), n, inter.num_items)
+            social = D.SocialGraph.from_arrays(*social.edge_arrays(), n)
+        user_map = item_map = None
+        if cfg.filter:
+            inter, social, user_map, item_map = D.preprocess_filter(
+                inter, social, cfg.min_ratings, cfg.min_links, cfg.min_item_degree
             )
+        uf = itf = None
+        if cfg.mode == M.FEATURES:
+            uf = D.load_features(cfg.user_features, len(user_map) if user_map else inter.num_users)
+            itf = D.load_features(cfg.item_features, len(item_map) if item_map else inter.num_items)
+            if user_map is not None:
+                raise ConfigError(
+                    "filter=true with feature files is unsupported: provide features "
+                    "for the already-filtered id space"
+                )
     bundle = D.split(inter, D.SplitConfig(cfg.test_fraction, cfg.validation_fraction, cfg.seed))
     return replace(bundle, social=social, user_features=uf, item_features=itf)
 
@@ -311,7 +330,8 @@ def cmd_evaluate(args):
     cfg = _load_config(args)
     cfg.validate()
     ckpt, bundle = _load_model(args, cfg)
-    if bundle.fingerprint() != ckpt.fingerprint and not args.allow_mismatch:
+    fingerprint = bundle.fingerprint()
+    if fingerprint != ckpt.fingerprint and not args.allow_mismatch:
         raise D.DataError(
             "dataset fingerprint does not match checkpoint "
             "(pass --allow-mismatch to evaluate anyway)"
@@ -323,7 +343,7 @@ def cmd_evaluate(args):
         f"# repetitions={report.repetitions} seed={report.seed} "
         f"negatives={cfg.eval_negatives}",
         f"# hr convention: {report.hr_convention}",
-        f"# dataset fingerprint: {bundle.fingerprint()}",
+        f"# dataset fingerprint: {fingerprint}",
     ]
     atomic_write_text(
         os.path.join(cfg.output_dir, "report.txt"), "\n".join(meta) + "\n" + table + "\n"

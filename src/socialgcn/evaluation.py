@@ -7,6 +7,7 @@ Ties are broken by ascending item id so reports are reproducible.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -120,14 +121,92 @@ def ndcg_at_n(ranked, positives, n):
     return dcg / ideal
 
 
+# Positive x candidate comparisons per block of tasks in evaluate_tasks; this
+# bounds its padded blocks and comparison temporaries to about a megabyte.
+_BLOCK_PAIRS = 1 << 15
+_INT64 = np.iinfo(np.int64)
+
+
+def _order_keys(scores):
+    """int64 keys that order candidates as rank_candidates does by score.
+
+    Higher keys are higher scores, -0.0 ties with 0.0, and NaN comes after
+    -inf, where the sort of the negated scores puts it.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    bits = (scores + 0.0).view(np.int64)
+    keys = np.where(bits < 0, bits ^ np.int64(_INT64.max), bits)
+    keys[np.isnan(scores)] = _INT64.min
+    return keys
+
+
+def _blocks(tasks):
+    """Consecutive runs of tasks with about _BLOCK_PAIRS positive x candidate pairs each."""
+    width = max(len(t.candidates) for t in tasks)
+    cost = np.fromiter(map(len, (t.positives for t in tasks)), dtype=np.int64, count=len(tasks)) * width
+    block = (np.cumsum(cost) - cost) // _BLOCK_PAIRS
+    bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(tasks)]
+    return [tasks[start:stop] for start, stop in itertools.pairwise(bounds)]
+
+
+def _rank_table(tasks, scorer):
+    """Ranks of each task's distinct positives, one row per task, ascending.
+
+    A positive's rank is how many of its task's candidates beat it. The
+    padding of a row, and a positive that is not a candidate, hold int64
+    max, which no cutoff reaches. Also returns each task's positive count.
+    """
+    sizes = np.fromiter(map(len, (t.candidates for t in tasks)), dtype=np.int64, count=len(tasks))
+    slots = np.arange(max(sizes.max(), 1)) < sizes[:, None]
+    keys = np.full(slots.shape, _INT64.min)  # padding never beats a candidate
+    ids = np.full(slots.shape, _INT64.max)
+    keys[slots] = _order_keys(np.concatenate([scorer(t) for t in tasks]))
+    ids[slots] = np.fromiter(
+        itertools.chain.from_iterable(t.candidates for t in tasks), dtype=np.int64, count=int(sizes.sum())
+    )
+    positives = [set(t.positives) for t in tasks]
+    counts = np.fromiter(map(len, positives), dtype=np.int64, count=len(tasks))
+    rows = np.repeat(np.arange(len(tasks)), counts)
+    pos = np.fromiter(itertools.chain.from_iterable(positives), dtype=np.int64, count=int(counts.sum()))[:, None]
+    row_ids, row_keys = ids[rows], keys[rows]
+    match = row_ids == pos
+    own = np.take_along_axis(row_keys, match.argmax(axis=1)[:, None], axis=1)
+    ranks = np.count_nonzero((row_keys > own) | ((row_keys == own) & (row_ids < pos)), axis=1)
+    ranks[~match.any(axis=1)] = _INT64.max
+    table = np.full((len(tasks), counts.max()), _INT64.max)
+    table[rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)] = ranks
+    table.sort(axis=1)
+    return table, counts
+
+
 def evaluate_tasks(tasks, scorer, n_values):
-    """Mean metrics over tasks given scorer(task) -> candidate score array."""
+    """Mean metrics over tasks given scorer(task) -> candidate score array.
+
+    Candidates are distinct ids. Every positive is ranked at once by how
+    many candidates beat it: a higher score, or an equal score and a lower
+    id, the order of rank_candidates. DCG sums run in rank order and the
+    means over tasks in task order, each from 0.0, so the results equal
+    hit_ratio_at_n and ndcg_at_n over rank_candidates, task by task.
+    """
     sums = {(m, n): 0.0 for m in ("hr", "ndcg") for n in n_values}
-    for task in tasks:
-        ranked = rank_candidates(task.candidates, scorer(task))
+    if not all(t.positives for t in tasks):
+        raise EvaluationError("every ranking task needs a non-empty positive set")
+    discount = np.array([1.0 / math.log2(rank + 1) for rank in range(1, max(n_values) + 1)])
+    ideal = np.array(list(itertools.accumulate(discount.tolist(), initial=0.0)))  # DCG of m hits on top
+    for block in _blocks(tasks) if tasks else []:
+        table, counts = _rank_table(block, scorer)
         for n in n_values:
-            sums[("hr", n)] += hit_ratio_at_n(ranked, task.positives, n)
-            sums[("ndcg", n)] += ndcg_at_n(ranked, task.positives, n)
+            hit = table < n
+            dcg = np.zeros(len(block))
+            for gains in np.where(hit, discount.take(table, mode="clip"), 0.0).T:
+                dcg += gains
+            per_task = {
+                ("hr", n): np.count_nonzero(hit, axis=1) / counts,
+                ("ndcg", n): dcg / ideal[np.minimum(counts, n)],
+            }
+            for key, values in per_task.items():
+                for value in values.tolist():
+                    sums[key] += value
     count = max(len(tasks), 1)
     return {key: value / count for key, value in sums.items()}
 

@@ -1,13 +1,21 @@
-"""Per-entity reference operations, one user, item or sample at a time.
+"""Per-entity reference operations, one user, item, line or task at a time.
 
-The package computes the model over whole matrices (`model.forward_all`)
-and draws negatives in blocks (`training.sample_pairs`). These functions
-compute the same quantities entity by entity, with the shape checks of the
-scalar definitions, so tests can compare the two.
+The package computes the model over whole matrices (`model.forward_all`),
+draws negatives in blocks (`training.sample_pairs`), parses TSV files in
+bulk passes (`data.load_*`) and ranks every task of an evaluation at once
+(`evaluation.evaluate_tasks`). These functions compute the same quantities
+one entity at a time, with the checks of the scalar definitions, so tests
+can compare the two.
 """
+import hashlib
+import math
+
 import numpy as np
 
+from socialgcn import data as D
+from socialgcn import evaluation as E
 from socialgcn import model as M
+from socialgcn.data import DataError, _parse_header
 
 
 def _bias(params, name, dim):
@@ -140,3 +148,200 @@ def aggregate_max(layer, social):
             winners[a] = nbrs[best]
             out[a] = block[best, cols]
     return out, winners
+
+
+# ---------------------------------------------------------------------------
+# line-by-line TSV loaders, list-based constructors, split and fingerprint
+
+
+def interactions_from_edges(edges, num_users=None, num_items=None):
+    """InteractionMatrix from (user, item) pairs, one edge at a time."""
+    edges = sorted(set(edges))
+    if num_users is None:
+        num_users = 1 + max((a for a, _ in edges), default=-1)
+    if num_items is None:
+        num_items = 1 + max((i for _, i in edges), default=-1)
+    by_user = [[] for _ in range(num_users)]
+    by_item = [[] for _ in range(num_items)]
+    for a, i in edges:
+        if not (0 <= a < num_users):
+            raise DataError(f"user id {a} out of range [0, {num_users})")
+        if not (0 <= i < num_items):
+            raise DataError(f"item id {i} out of range [0, {num_items})")
+        by_user[a].append(i)
+        by_item[i].append(a)
+    return D.InteractionMatrix(num_users, num_items, by_user, by_item)
+
+
+def social_from_edges(edges, num_users=None):
+    """SocialGraph from (follower, followee) pairs, one edge at a time."""
+    edges = sorted(set(edges))
+    if num_users is None:
+        num_users = 1 + max((max(a, b) for a, b in edges), default=-1)
+    out = [[] for _ in range(num_users)]
+    for a, b in edges:
+        if a == b:
+            raise DataError(f"self-loop on user {a}")
+        if not (0 <= a < num_users and 0 <= b < num_users):
+            raise DataError(f"social edge ({a},{b}) out of range [0, {num_users})")
+        out[a].append(b)
+    return D.SocialGraph(num_users, out)
+
+
+def _iter_data_lines(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line
+
+
+def load_interactions(path):
+    """Load "user<TAB>item" lines into a deduplicated InteractionMatrix."""
+    edges = []
+    header = None
+    for lineno, line in _iter_data_lines(path):
+        if header is None and not edges:
+            h = _parse_header(line)
+            if h is not None:
+                header = h
+                continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'user<TAB>item', got {line!r}")
+        try:
+            a, i = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer id in {line!r}") from None
+        if a < 0 or i < 0:
+            raise DataError(f"{path}:{lineno}: negative id in {line!r}")
+        edges.append((a, i))
+    if not edges and header is None:
+        raise DataError(f"{path}: empty interaction file")
+    num_users = header.get("users") if header else None
+    num_items = header.get("items") if header else None
+    return interactions_from_edges(edges, num_users, num_items)
+
+
+def load_social(path):
+    """Load "follower<TAB>followee" lines; self-loops are rejected."""
+    edges = []
+    header = None
+    for lineno, line in _iter_data_lines(path):
+        if header is None and not edges:
+            h = _parse_header(line)
+            if h is not None:
+                header = h
+                continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'follower<TAB>followee', got {line!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer id in {line!r}") from None
+        if a == b:
+            raise DataError(f"{path}:{lineno}: self-loop on user {a}")
+        edges.append((a, b))
+    if not edges and header is None:
+        raise DataError(f"{path}: empty social file")
+    num_users = header.get("users") if header else None
+    return social_from_edges(edges, num_users)
+
+
+def load_features(path, expected_count):
+    """Load "id<TAB>v1,v2,...,vd" lines covering ids 0..expected_count-1."""
+    rows = {}
+    dim = None
+    for lineno, line in _iter_data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'id<TAB>values', got {line!r}")
+        try:
+            ent = int(parts[0])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer id {parts[0]!r}") from None
+        try:
+            vec = np.array([float(v) for v in parts[1].split(",")], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed feature values") from None
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"{path}:{lineno}: non-finite feature value for entity {ent}")
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise DataError(f"{path}:{lineno}: dim {len(vec)} != {dim} for entity {ent}")
+        if ent in rows:
+            raise DataError(f"{path}:{lineno}: duplicate entity {ent}")
+        rows[ent] = vec
+    if dim is None:
+        raise DataError(f"{path}: empty feature file")
+    missing = [e for e in range(expected_count) if e not in rows]
+    if missing:
+        raise DataError(f"{path}: missing feature vector for entity {missing[0]}")
+    mat = np.stack([rows[e] for e in range(expected_count)])
+    return D.FeatureTable(dim=dim, vectors=mat)
+
+
+def split(interactions, config):
+    """Uniform edge-level split; floor sizes, remainders stay in train."""
+    edges = interactions.edges()
+    n = len(edges)
+    if n == 0:
+        raise DataError("cannot split an empty interaction matrix")
+    n_test = math.floor(n * config.test_fraction)
+    if n_test == 0:
+        raise DataError(f"test_fraction {config.test_fraction} yields an empty test set ({n} edges)")
+    n_val = math.floor((n - n_test) * config.validation_fraction_of_train)
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(n)
+    test_e = [edges[k] for k in order[:n_test]]
+    val_e = [edges[k] for k in order[n_test : n_test + n_val]]
+    train_e = [edges[k] for k in order[n_test + n_val :]]
+    dims = dict(num_users=interactions.num_users, num_items=interactions.num_items)
+    return D.DatasetBundle(
+        train=interactions_from_edges(train_e, **dims),
+        validation=interactions_from_edges(val_e, **dims),
+        test=interactions_from_edges(test_e, **dims),
+    )
+
+
+def fingerprint(bundle):
+    """Content hash over a canonical serialization of the whole bundle."""
+    h = hashlib.sha256()
+    h.update(f"users={bundle.num_users} items={bundle.num_items}\n".encode())
+    for name, m in (("train", bundle.train), ("validation", bundle.validation), ("test", bundle.test)):
+        h.update(f"[{name}]\n".encode())
+        for a, i in m.edges():
+            h.update(f"{a}\t{i}\n".encode())
+    h.update(b"[social]\n")
+    if bundle.social is not None:
+        for a, b in bundle.social.edges():
+            h.update(f"{a}\t{b}\n".encode())
+    for name, ft in (("user_features", bundle.user_features), ("item_features", bundle.item_features)):
+        h.update(f"[{name}]\n".encode())
+        if ft is not None:
+            h.update(str(ft.dim).encode())
+            h.update(np.ascontiguousarray(ft.vectors, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# per-task ranking metrics
+
+
+def evaluate_tasks(tasks, scorer, n_values):
+    """Mean metrics over tasks given scorer(task) -> candidate score array."""
+    sums = {(m, n): 0.0 for m in ("hr", "ndcg") for n in n_values}
+    for task in tasks:
+        ranked = E.rank_candidates(task.candidates, scorer(task))
+        for n in n_values:
+            sums[("hr", n)] += E.hit_ratio_at_n(ranked, task.positives, n)
+            sums[("ndcg", n)] += E.ndcg_at_n(ranked, task.positives, n)
+    count = max(len(tasks), 1)
+    return {key: value / count for key, value in sums.items()}

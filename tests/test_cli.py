@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 
@@ -80,6 +81,39 @@ class TestConfig:
             cli.parse_config(path).validate()
         assert cli.main(["train", "--config", path]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("dim", "0"),
+            ("latent", "0"),
+            ("negatives", "0"),
+            ("batch_size", "0"),
+            ("learning_rate", "-1"),
+            ("lambda_reg", "-0.5"),
+            ("max_epochs", "-1"),
+            ("patience", "0"),
+            ("val_negatives", "-3"),
+            ("eval_negatives", "-1"),
+            ("repetitions", "0"),
+            ("test_fraction", "1.5"),
+            ("validation_fraction", "0"),
+        ],
+    )
+    def test_out_of_range_number_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+
+    def test_synthetic_split_uses_config_fractions(self, tmp_path):
+        default = cli.build_bundle(cli.parse_config(write_config(tmp_path)))
+        wider = cli.build_bundle(cli.parse_config(write_config(tmp_path, test_fraction=0.3)))
+        edges = default.train.num_edges + default.validation.num_edges + default.test.num_edges
+        assert default.test.num_edges == math.floor(0.1 * edges)
+        assert wider.test.num_edges == math.floor(0.3 * edges)
+        spec = D.SyntheticSpec(users=30, items=25, seed=5)
+        assert default.fingerprint() == D.generate_synthetic(spec).fingerprint()
 
 
 class TestCheckpoint:
@@ -246,6 +280,19 @@ class TestEvaluateCommand:
         argv = ["evaluate", "--config", other, "--checkpoint", ckpt, "--allow-mismatch"]
         assert cli.main(argv) == cli.EXIT_DATA
         assert "checkpoint block 'P' has 40 rows, dataset has 50 users" in capsys.readouterr().err
+
+    def test_hashes_dataset_once(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        cli.main(["train", "--config", cfg])
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        calls = []
+        fingerprint = D.DatasetBundle.fingerprint
+        monkeypatch.setattr(D.DatasetBundle, "fingerprint", lambda b: calls.append(1) or fingerprint(b))
+        assert cli.main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 0
+        assert len(calls) == 1
+        assert f"# dataset fingerprint: {fingerprint(cli.build_bundle(cli.parse_config(cfg)))}" in (
+            (tmp_path / "out" / "report.txt").read_text().splitlines()
+        )
 
     def test_corrupt_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracle as O
 from socialgcn import data as D
 
 
@@ -226,3 +229,204 @@ class TestSynthetic:
     def test_degenerate_spec(self):
         with pytest.raises(D.DataError):
             D.SyntheticSpec(users=0, items=5)
+
+
+# ---------------------------------------------------------------------------
+# bulk loaders, array constructors, split and fingerprint against the
+# line-by-line and list-based references in tests/oracle.py
+
+NOISE = ["", "   ", "# comment", "  # indented comment", "\t"]
+
+
+def render_id(draw, value):
+    """An id as int() reads it: plain, signed, zero-padded or with spaces."""
+    form = draw(st.sampled_from(["{}", "+{}", "00{}", " {}", "{} "]))
+    return form.format(value) if value >= 0 else str(value)
+
+
+@st.composite
+def edge_lines(draw, social):
+    """Data lines of a valid edge file (header first, if any), and a user bound."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    if social:
+        pairs = [(a, b) for a, b in pairs if a != b]
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []  # duplicates
+    lines = [
+        draw(st.sampled_from(["", " ", "\t"])) + render_id(draw, a) + "\t" + render_id(draw, b)
+        for a, b in pairs
+    ]
+    extra = draw(st.integers(0, 2))
+    headers = [None, f"users={n + extra}"]
+    if not social:
+        headers += [f"users={n + extra} items={n}", f" items={n}   users={n} "]
+    header = draw(st.sampled_from(headers))
+    return ([header] if header else []) + lines
+
+
+@st.composite
+def feature_lines(draw):
+    """Data lines of a valid feature file, and its entity count."""
+    count, dim = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    ids = list(range(count)) + draw(st.lists(st.sampled_from([-2, count, count + 3]), unique=True))
+    ids = draw(st.permutations(ids))
+    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    lines = []
+    for ent in ids:
+        values = [draw(st.sampled_from([repr, str, lambda v: f" {v!r}"]))(v) for v in draw(st.lists(value, min_size=dim, max_size=dim))]
+        lines.append(render_id(draw, ent) + "\t" + ",".join(values))
+    return lines, count
+
+
+def file_text(draw, lines):
+    """Lines joined with LF or CRLF, with comments and blank lines among them."""
+    out = []
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(NOISE), max_size=2)) + [line]
+    out += draw(st.lists(st.sampled_from(NOISE), max_size=2))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(out) + draw(st.sampled_from(["", "\n"]))
+
+
+def corrupt(draw, lines, kind):
+    """`lines` with one line broken (or, for a header, made too small)."""
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    first, _, rest = line.partition("\t")
+    options = {
+        "no tab": line.replace("\t", " "),
+        "extra field": line + "\t1",
+        "bad id": "x" + line,
+        "fractional id": first + ".5\t" + rest,
+        "negative id": "-4\t" + rest,
+        "large id": "1000\t" + rest,
+    }
+    if kind == "social":
+        options["self-loop"] = rest + "\t" + rest
+    if kind == "features":
+        options.update({
+            "bad value": line + "x",
+            "non-finite": first + "\t" + ",".join(["nan"] + rest.split(",")[1:]),
+            "wider": line + ",1.5",
+            "duplicate": lines[(k + 1) % len(lines)].partition("\t")[0] + "\t" + rest,
+            "empty values": first + "\t",
+        })
+    if kind == "interactions" and line.strip().startswith(("users", "items")):
+        options = {"small header": "users=1 items=1"}
+    broken = draw(st.sampled_from(sorted(options.values())))
+    return lines[:k] + [broken] + lines[k + 1 :]
+
+
+def outcome(load, path, *args):
+    """A loader's result in comparable form, or the message of its DataError."""
+    try:
+        result = load(path, *args)
+    except D.DataError as exc:
+        return f"DataError: {exc}"
+    if isinstance(result, D.FeatureTable):
+        return result.dim, result.vectors.shape, result.vectors.tobytes()
+    return result
+
+
+LOADERS = {
+    "interactions": (D.load_interactions, O.load_interactions),
+    "social": (D.load_social, O.load_social),
+    "features": (D.load_features, O.load_features),
+}
+
+
+class TestBulkLoadersMatchLineByLine:
+    examples = settings(max_examples=150, deadline=None)
+
+    def check(self, directory, kind, text, *args):
+        path = directory / f"{kind}.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        new, old = LOADERS[kind]
+        expected = outcome(old, str(path), *args)
+        assert outcome(new, str(path), *args) == expected
+        return expected
+
+    @examples
+    @given(data=st.data(), kind=st.sampled_from(sorted(LOADERS)))
+    def test_valid_files(self, tmp_path_factory, data, kind):
+        directory = tmp_path_factory.mktemp("valid")
+        if kind == "features":
+            lines, count = data.draw(feature_lines())
+            self.check(directory, kind, file_text(data.draw, lines), count)
+        else:
+            lines = data.draw(edge_lines(kind == "social"))
+            result = self.check(directory, kind, file_text(data.draw, lines))
+            assert lines == [] or not isinstance(result, str)
+
+    @examples
+    @given(data=st.data(), kind=st.sampled_from(sorted(LOADERS)))
+    def test_one_corrupt_line_gives_the_same_message(self, tmp_path_factory, data, kind):
+        directory = tmp_path_factory.mktemp("corrupt")
+        if kind == "features":
+            lines, count = data.draw(feature_lines())
+            lines = corrupt(data.draw, lines, kind)
+            self.check(directory, kind, file_text(data.draw, lines), count)
+        else:
+            lines = data.draw(edge_lines(kind == "social"))
+            assume(lines)
+            lines = corrupt(data.draw, lines, kind)
+            self.check(directory, kind, file_text(data.draw, lines))
+
+    @pytest.mark.parametrize("kind", ["interactions", "social"])
+    def test_id_beyond_int64_names_line(self, tmp_path, kind):
+        path = write(tmp_path, "big.tsv", f"users=3 items=3\n0\t1\n{2**63}\t1\n")
+        with pytest.raises(D.DataError, match=r"big.tsv:3: id out of range in "):
+            LOADERS[kind][0](path)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_undecodable_file_is_data_error(self, tmp_path, kind):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"0\t1\n\xff\xfe\t2\n")
+        with pytest.raises(D.DataError, match="cannot read"):
+            LOADERS[kind][0](str(path), *([2] if kind == "features" else []))
+
+
+def constructor_outcome(build, *args):
+    try:
+        return build(*args)
+    except D.DataError as exc:
+        return f"DataError: {exc}"
+
+
+class TestArrayConstructors:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8)), max_size=25),
+        users=st.none() | st.integers(0, 9),
+        items=st.none() | st.integers(0, 9),
+    )
+    def test_from_edges_matches_reference(self, edges, users, items):
+        assert constructor_outcome(D.InteractionMatrix.from_edges, edges, users, items) == (
+            constructor_outcome(O.interactions_from_edges, edges, users, items)
+        )
+        assert constructor_outcome(D.SocialGraph.from_edges, edges, users) == (
+            constructor_outcome(O.social_from_edges, edges, users)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 14)), min_size=1, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+        test_fraction=st.sampled_from([0.1, 0.25, 0.5]),
+    )
+    def test_split_and_fingerprint_match_reference(self, edges, seed, test_fraction):
+        inter = D.InteractionMatrix.from_edges(edges, 12, 15)
+        config = D.SplitConfig(test_fraction, 0.2, seed)
+        got = constructor_outcome(D.split, inter, config)
+        want = constructor_outcome(O.split, inter, config)
+        assert got == want
+        if not isinstance(got, str):
+            social = D.SocialGraph.from_edges([(a, b) for a, b in edges if a != b and b < 12], 12)
+            bundle = D.DatasetBundle(got.train, got.validation, got.test, social)
+            assert bundle.fingerprint() == O.fingerprint(bundle)
+
+    def test_fingerprint_of_synthetic_bundle_is_unchanged(self):
+        bundle = D.generate_synthetic(D.SyntheticSpec(users=40, items=30, seed=9))
+        assert bundle.fingerprint() == O.fingerprint(bundle)
+        assert bundle.fingerprint() == (
+            "8a97b1b4ee4ef922f706a4b5388224f63a1b93e54efcf5228f9c268f10f40f67"
+        )

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle as O
 from socialgcn import data as D
 from socialgcn import evaluation as E
 from socialgcn import model as M
@@ -238,3 +241,59 @@ class TestAblation:
         rows = E.run_ablation(bundle, hy, tc, ec, ["full"])
         assert len(rows) == 1
         assert rows[0].hr_change == "+0.00%" and rows[0].ndcg_change == "+0.00%"
+
+
+@st.composite
+def ranking_tasks(draw):
+    """Tasks with distinct candidates, heavily tied scores, and positives that may
+    repeat, miss the candidates or cover them all; plus score tables by id."""
+    tasks, scores = [], {}
+    for user in range(draw(st.integers(0, 7))):
+        candidates = draw(st.lists(st.integers(0, 60), unique=True, max_size=25))
+        choices = [st.lists(st.integers(0, 60), min_size=1, max_size=4)]
+        if candidates:
+            choices += [st.just(list(candidates)), st.lists(st.sampled_from(candidates), min_size=1)]
+        positives = draw(st.one_of(choices))
+        tied = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf, math.nan])
+        values = draw(st.lists(tied | st.floats(-3, 3), min_size=len(candidates), max_size=len(candidates)))
+        scores[user] = dict(zip(candidates, values))
+        tasks.append(E.RankingTask(user, positives, candidates))
+    return tasks, scores
+
+
+class TestBatchedEvaluateTasks:
+    @staticmethod
+    def hexes(means):
+        return [(key, value.hex()) for key, value in means.items()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=ranking_tasks(),
+        n_values=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
+        reverse=st.booleans(),
+    )
+    def test_bit_identical_to_per_task_reference(self, drawn, n_values, reverse):
+        tasks, scores = drawn
+        if reverse:
+            for t in tasks:
+                t.candidates = t.candidates[::-1]
+
+        def scorer(task):
+            return np.array([scores[task.user][c] for c in task.candidates])
+
+        assert self.hexes(E.evaluate_tasks(tasks, scorer, n_values)) == self.hexes(
+            O.evaluate_tasks(tasks, scorer, n_values)
+        )
+
+    def test_blocks_of_a_full_evaluation_match_reference(self):
+        b = D.generate_synthetic(D.SyntheticSpec(users=150, items=300, seed=3))
+        hy = M.HyperParams(D=3, L=2, K=1)
+        params = M.init_params(hy, 150, 300, 8, 8, seed=0)
+        U, V, _ = M.forward_all(params, hy, b)
+        tasks = E.build_tasks(b, num_negatives=1000, repetition_seed=2)
+        assert len(E._blocks(tasks)) > 1
+        scorer = lambda t: V[np.asarray(t.candidates)] @ U[t.user]
+        n_values = [1, 5, 10, 400]
+        assert self.hexes(E.evaluate_tasks(tasks, scorer, n_values)) == self.hexes(
+            O.evaluate_tasks(tasks, scorer, n_values)
+        )
