@@ -246,7 +246,7 @@ def render_id(draw, value):
 
 @st.composite
 def edge_lines(draw, social):
-    """Data lines of a valid edge file (header first, if any), and a user bound."""
+    """Data lines of a valid edge file, header (if any) first, with duplicate edges."""
     n = draw(st.integers(1, 9))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
     if social:
@@ -273,7 +273,8 @@ def feature_lines(draw):
     value = st.floats(allow_nan=False, allow_infinity=False, width=64)
     lines = []
     for ent in ids:
-        values = [draw(st.sampled_from([repr, str, lambda v: f" {v!r}"]))(v) for v in draw(st.lists(value, min_size=dim, max_size=dim))]
+        vector = draw(st.lists(value, min_size=dim, max_size=dim))
+        values = [draw(st.sampled_from(["{!r}", " {!r} "])).format(v) for v in vector]
         lines.append(render_id(draw, ent) + "\t" + ",".join(values))
     return lines, count
 
@@ -316,10 +317,10 @@ def corrupt(draw, lines, kind):
     return lines[:k] + [broken] + lines[k + 1 :]
 
 
-def outcome(load, path, *args):
-    """A loader's result in comparable form, or the message of its DataError."""
+def outcome(call, *args):
+    """call(*args) in comparable form, or the message of its DataError."""
     try:
-        result = load(path, *args)
+        result = call(*args)
     except D.DataError as exc:
         return f"DataError: {exc}"
     if isinstance(result, D.FeatureTable):
@@ -351,11 +352,11 @@ class TestBulkLoadersMatchLineByLine:
         directory = tmp_path_factory.mktemp("valid")
         if kind == "features":
             lines, count = data.draw(feature_lines())
-            self.check(directory, kind, file_text(data.draw, lines), count)
+            result = self.check(directory, kind, file_text(data.draw, lines), count)
         else:
             lines = data.draw(edge_lines(kind == "social"))
             result = self.check(directory, kind, file_text(data.draw, lines))
-            assert lines == [] or not isinstance(result, str)
+        assert lines == [] or not isinstance(result, str)
 
     @examples
     @given(data=st.data(), kind=st.sampled_from(sorted(LOADERS)))
@@ -385,13 +386,6 @@ class TestBulkLoadersMatchLineByLine:
             LOADERS[kind][0](str(path), *([2] if kind == "features" else []))
 
 
-def constructor_outcome(build, *args):
-    try:
-        return build(*args)
-    except D.DataError as exc:
-        return f"DataError: {exc}"
-
-
 class TestArrayConstructors:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -400,11 +394,11 @@ class TestArrayConstructors:
         items=st.none() | st.integers(0, 9),
     )
     def test_from_edges_matches_reference(self, edges, users, items):
-        assert constructor_outcome(D.InteractionMatrix.from_edges, edges, users, items) == (
-            constructor_outcome(O.interactions_from_edges, edges, users, items)
+        assert outcome(D.InteractionMatrix.from_edges, edges, users, items) == (
+            outcome(O.interactions_from_edges, edges, users, items)
         )
-        assert constructor_outcome(D.SocialGraph.from_edges, edges, users) == (
-            constructor_outcome(O.social_from_edges, edges, users)
+        assert outcome(D.SocialGraph.from_edges, edges, users) == (
+            outcome(O.social_from_edges, edges, users)
         )
 
     @settings(max_examples=100, deadline=None)
@@ -416,8 +410,8 @@ class TestArrayConstructors:
     def test_split_and_fingerprint_match_reference(self, edges, seed, test_fraction):
         inter = D.InteractionMatrix.from_edges(edges, 12, 15)
         config = D.SplitConfig(test_fraction, 0.2, seed)
-        got = constructor_outcome(D.split, inter, config)
-        want = constructor_outcome(O.split, inter, config)
+        got = outcome(D.split, inter, config)
+        want = outcome(O.split, inter, config)
         assert got == want
         if not isinstance(got, str):
             social = D.SocialGraph.from_edges([(a, b) for a, b in edges if a != b and b < 12], 12)
