@@ -3,7 +3,8 @@
 All tensor payloads are little-endian IEEE-754 float64 regardless of the
 training precision so saved artifacts are exactly reproducible. Writes are
 atomic (temp file + rename); loading fails closed on any version, magic or
-size mismatch, naming the offending block.
+size mismatch and on any malformed header entry, naming the offending block
+or entry.
 """
 from __future__ import annotations
 
@@ -95,6 +96,31 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Hyperparameters the header must give as JSON integers, with their least value, or as booleans.
+_INT_HYPERS = {"D": 1, "L": 1, "K": 0}
+_BOOL_HYPERS = ("use_bias", "pin_user_base")
+
+
+def _hypers(path, entry):
+    """HyperParams from the header's 'hyperparams' object, naming the first bad entry."""
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"{path}: header 'hyperparams' is not an object")
+    for key, least in _INT_HYPERS.items():
+        if key in entry and not (_is_int(entry[key]) and entry[key] >= least):
+            raise CheckpointError(
+                f"{path}: hyperparameter {key!r} must be an integer >= {least}, got {entry[key]!r}"
+            )
+    for key in _BOOL_HYPERS:
+        if key in entry and not isinstance(entry[key], bool):
+            raise CheckpointError(
+                f"{path}: hyperparameter {key!r} must be true or false, got {entry[key]!r}"
+            )
+    try:
+        return HyperParams(**entry)
+    except (TypeError, ModelError) as exc:
+        raise CheckpointError(f"{path}: bad hyperparams: {exc}") from exc
+
+
 def _block_entry(path, index, block):
     """(name, shape, nbytes) of one header block entry, checked against its payload size."""
     if not isinstance(block, dict) or not isinstance(block.get("name"), str):
@@ -146,6 +172,8 @@ def load_checkpoint(path):
     arrays = {}
     for index, block in enumerate(header["blocks"]):
         name, shape, nbytes = _block_entry(path, index, block)
+        if name in arrays:
+            raise CheckpointError(f"{path}: block {name!r} appears twice")
         if off + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload for block {name!r}")
         arr = np.frombuffer(raw[off : off + nbytes], dtype="<f8").astype(np.float64)
@@ -154,14 +182,13 @@ def load_checkpoint(path):
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes after last block")
 
-    try:
-        hypers = HyperParams(**header["hyperparams"])
-    except (TypeError, ModelError) as exc:
-        raise CheckpointError(f"{path}: bad hyperparams: {exc}") from exc
-    params = ModelParams(arrays, frozen=header.get("frozen", []))
+    frozen = header.get("frozen", [])
+    if not isinstance(frozen, list) or not all(isinstance(n, str) and n in arrays for n in frozen):
+        raise CheckpointError(f"{path}: header 'frozen' must list block names, got {frozen!r}")
+    params = ModelParams(arrays, frozen=frozen)
     return Checkpoint(
         version=version,
-        hypers=hypers,
+        hypers=_hypers(path, header["hyperparams"]),
         params=params,
         fingerprint=header["fingerprint"],
         log_tail=header.get("log_tail", []),

@@ -201,7 +201,7 @@ def parse_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

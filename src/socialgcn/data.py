@@ -228,13 +228,6 @@ class DatasetBundle:
     def num_items(self):
         return self.train.num_items
 
-    def all_positive_items(self, user):
-        """Items rated by `user` in any split (train, validation or test)."""
-        out = set(self.train.positives_by_user[user])
-        out.update(self.validation.positives_by_user[user])
-        out.update(self.test.positives_by_user[user])
-        return out
-
     def fingerprint(self):
         """Content hash over a canonical serialization of the whole bundle."""
         text = [f"users={self.num_users} items={self.num_items}\n"]
@@ -295,8 +288,9 @@ def _two_fields(rows):
     return "\t".join(rows).split("\t") if rows else []
 
 
-def _edge_fault(fields, line_fault):
-    """Per-line fault of an "a<TAB>b" line: field count, integer ids, then line_fault(a, b)."""
+def _edge_fault(fields, line_fault, range_fault, header):
+    """Per-line fault of an "a<TAB>b" line: field count, integer ids, line_fault(a, b, line),
+    64-bit ids, then range_fault(a, b, header)."""
 
     def fault(line):
         parts = line.split("\t")
@@ -309,17 +303,22 @@ def _edge_fault(fields, line_fault):
         message = line_fault(a, b, line)
         if message is None and (a not in _INT64 or b not in _INT64):
             return f"id out of range in {line!r}"
-        return message
+        return message or range_fault(a, b, header)
 
     return fault
 
 
-def _load_edges(path, kind, fields, bad_rows, line_fault):
+def _outside(ids, count):
+    """Which ids fall outside [0, count); none when the header gives no count."""
+    return np.zeros(ids.shape, dtype=bool) if count is None else (ids < 0) | (ids >= count)
+
+
+def _load_edges(path, kind, fields, bad_rows, line_fault, range_fault):
     """The header and the (n, 2) int64 ids of an "a<TAB>b" edge file.
 
-    `bad_rows(ids)` flags the rows that `line_fault(a, b, line)` names; when
-    a row is flagged or any line is malformed, the first faulty line is
-    reported.
+    `bad_rows(ids, header)` flags the rows that `line_fault(a, b, line)` or
+    `range_fault(a, b, header)` names; when a row is flagged or any line is
+    malformed, the first faulty line is reported.
     """
     lines, rows = _read_rows(path)
     header = _parse_header(rows[0]) if rows else None
@@ -334,9 +333,17 @@ def _load_edges(path, kind, fields, bad_rows, line_fault):
             ids = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens)).reshape(-1, 2)
         except (ValueError, OverflowError):  # a non-integer id, or one beyond int64
             pass
-    if ids is None or bad_rows(ids).any():
-        raise _first_fault(path, lines, _edge_fault(fields, line_fault), skip=header is not None)
-    return header or {}, ids
+    skip, header = header is not None, header or {}
+    if ids is None or bad_rows(ids, header).any():
+        raise _first_fault(path, lines, _edge_fault(fields, line_fault, range_fault, header), skip=skip)
+    return header, ids
+
+
+def _interaction_range_fault(a, i, header):
+    for name, value in (("user", a), ("item", i)):
+        count = header.get(f"{name}s")
+        if count is not None and value >= count:
+            return f"{name} id {value} out of range [0, {count})"
 
 
 def load_interactions(path) -> InteractionMatrix:
@@ -345,10 +352,19 @@ def load_interactions(path) -> InteractionMatrix:
         path,
         "interaction",
         "user<TAB>item",
-        lambda ids: (ids < 0).any(axis=1),
+        lambda ids, h: (
+            (ids < 0).any(axis=1) | _outside(ids[:, 0], h.get("users")) | _outside(ids[:, 1], h.get("items"))
+        ),
         lambda a, i, line: f"negative id in {line!r}" if a < 0 or i < 0 else None,
+        _interaction_range_fault,
     )
     return InteractionMatrix.from_arrays(ids[:, 0], ids[:, 1], header.get("users"), header.get("items"))
+
+
+def _social_range_fault(a, b, header):
+    users = header.get("users")
+    if users is not None and not (0 <= a < users and 0 <= b < users):
+        return f"social edge ({a},{b}) out of range [0, {users})"
 
 
 def load_social(path) -> SocialGraph:
@@ -357,8 +373,9 @@ def load_social(path) -> SocialGraph:
         path,
         "social",
         "follower<TAB>followee",
-        lambda ids: ids[:, 0] == ids[:, 1],
+        lambda ids, h: (ids[:, 0] == ids[:, 1]) | _outside(ids, h.get("users")).any(axis=1),
         lambda a, b, line: f"self-loop on user {a}" if a == b else None,
+        _social_range_fault,
     )
     return SocialGraph.from_arrays(ids[:, 0], ids[:, 1], header.get("users"))
 

@@ -36,9 +36,15 @@ class EvalConfig:
 
 @dataclass
 class RankingTask:
+    """One user's held-out positives and the candidates they are ranked among.
+
+    build_tasks makes both int64 arrays, the positives ascending and the
+    candidates the positives followed by the sampled unrated items.
+    """
+
     user: int
-    positives: list[int]
-    candidates: list[int]
+    positives: np.ndarray
+    candidates: np.ndarray
 
 
 @dataclass
@@ -61,27 +67,32 @@ class MetricReport:
 
 
 def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test"):
-    """One ranking task per user with at least one positive in `split`.
+    """One ranking task per user with at least one positive in `split`, in user order.
 
     Sampled candidates are uniform without replacement over the items the
     user rated in no split; if fewer than num_negatives exist, all are used.
+    The Generator draws once per user that needs sampling, in user order.
     """
-    target = getattr(bundle, split)
+    edges = {name: getattr(bundle, name).edge_arrays() for name in ("train", "validation", "test")}
+    pos_users, pos_items = edges[split]
+    rated_users, rated_items = (np.concatenate(parts) for parts in zip(*edges.values()))
+    rated_items = rated_items[np.argsort(rated_users, kind="stable")]
+    rated_ptr, pos_ptr = (
+        np.concatenate(([0], np.cumsum(np.bincount(users, minlength=bundle.num_users)))).tolist()
+        for users in (rated_users, pos_users)
+    )
+    unrated = np.ones(bundle.num_items, dtype=bool)  # cleared at one user's rated items at a time
     rng = np.random.default_rng(repetition_seed)
     tasks = []
-    n_items = bundle.num_items
-    for a in range(bundle.num_users):
-        positives = target.positives_by_user[a]
-        if not positives:
-            continue
-        unrated = unrated_items(n_items, bundle.all_positive_items(a))
-        if len(unrated) > num_negatives:
-            sampled = rng.choice(unrated, size=num_negatives, replace=False)
-        else:
-            sampled = unrated
-        tasks.append(
-            RankingTask(user=a, positives=list(positives), candidates=list(positives) + sampled.tolist())
-        )
+    for a in np.flatnonzero(np.diff(pos_ptr)).tolist():
+        rated = rated_items[rated_ptr[a] : rated_ptr[a + 1]]
+        unrated[rated] = False
+        sampled = unrated.nonzero()[0]
+        unrated[rated] = True
+        if len(sampled) > num_negatives:
+            sampled = rng.choice(sampled, size=num_negatives, replace=False)
+        positives = pos_items[pos_ptr[a] : pos_ptr[a + 1]]
+        tasks.append(RankingTask(a, positives, np.concatenate((positives, sampled))))
     return tasks
 
 
@@ -149,6 +160,11 @@ def _blocks(tasks):
     return [tasks[start:stop] for start, stop in itertools.pairwise(bounds)]
 
 
+def _ids(rows):
+    """Every id of `rows` (int arrays or lists) in one int64 array, row after row."""
+    return np.concatenate([np.asarray(row, dtype=np.int64) for row in rows])
+
+
 def _rank_table(tasks, scorer):
     """Ranks of each task's distinct positives, one row per task, ascending.
 
@@ -161,13 +177,16 @@ def _rank_table(tasks, scorer):
     keys = np.full(slots.shape, _INT64.min)  # padding never beats a candidate
     ids = np.full(slots.shape, _INT64.max)
     keys[slots] = _order_keys(np.concatenate([scorer(t) for t in tasks]))
-    ids[slots] = np.fromiter(
-        itertools.chain.from_iterable(t.candidates for t in tasks), dtype=np.int64, count=int(sizes.sum())
-    )
-    positives = [set(t.positives) for t in tasks]
-    counts = np.fromiter(map(len, positives), dtype=np.int64, count=len(tasks))
-    rows = np.repeat(np.arange(len(tasks)), counts)
-    pos = np.fromiter(itertools.chain.from_iterable(positives), dtype=np.int64, count=int(counts.sum()))[:, None]
+    ids[slots] = _ids(t.candidates for t in tasks)
+    lengths = np.fromiter(map(len, (t.positives for t in tasks)), dtype=np.int64, count=len(tasks))
+    rows = np.repeat(np.arange(len(tasks)), lengths)
+    pos = _ids(t.positives for t in tasks)
+    order = np.lexsort((pos, rows))
+    rows, pos = rows[order], pos[order]
+    distinct = np.ones(len(pos), dtype=bool)
+    distinct[1:] = (rows[1:] != rows[:-1]) | (pos[1:] != pos[:-1])
+    rows, pos = rows[distinct], pos[distinct, None]
+    counts = np.bincount(rows, minlength=len(tasks))
     row_ids, row_keys = ids[rows], keys[rows]
     match = row_ids == pos
     own = np.take_along_axis(row_keys, match.argmax(axis=1)[:, None], axis=1)
@@ -189,7 +208,7 @@ def evaluate_tasks(tasks, scorer, n_values):
     hit_ratio_at_n and ndcg_at_n over rank_candidates, task by task.
     """
     sums = {(m, n): 0.0 for m in ("hr", "ndcg") for n in n_values}
-    if not all(t.positives for t in tasks):
+    if not all(map(len, (t.positives for t in tasks))):
         raise EvaluationError("every ranking task needs a non-empty positive set")
     discount = np.array([1.0 / math.log2(rank + 1) for rank in range(1, max(n_values) + 1)])
     ideal = np.array(list(itertools.accumulate(discount.tolist(), initial=0.0)))  # DCG of m hits on top
@@ -211,15 +230,18 @@ def evaluate_tasks(tasks, scorer, n_values):
     return {key: value / count for key, value in sums.items()}
 
 
-def evaluate(params, hypers, bundle, config, split="test"):
-    """Run the sampled-candidate protocol `repetitions` times and average."""
+def evaluate(params, hypers, bundle, config, split="test", graph=None):
+    """Run the sampled-candidate protocol `repetitions` times and average.
+
+    `graph` is the bundle's model.Graph, as for model.forward_all.
+    """
     target = getattr(bundle, split)
     if target.num_edges == 0:
         raise EvaluationError(f"{split} split is empty")
-    U, V, _ = M.forward_all(params, hypers, bundle)
+    U, V, _ = M.forward_all(params, hypers, bundle, graph)
 
     def scorer(task):
-        return V[np.asarray(task.candidates, dtype=int)] @ U[task.user]
+        return V[task.candidates] @ U[task.user]
 
     per_rep = {(m, n): [] for m in ("hr", "ndcg") for n in config.n_values}
     for rep in range(config.repetitions):

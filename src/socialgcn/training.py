@@ -401,7 +401,7 @@ def train(bundle, hypers, config):
         epoch_loss = float(np.mean(losses)) if losses else 0.0
 
         if has_val:
-            rep = evaluation.evaluate(params, hypers, bundle, val_cfg, split="validation")
+            rep = evaluation.evaluate(params, hypers, bundle, val_cfg, split="validation", graph=graph)
             val_hr = rep.mean("hr", 10)
             val_ndcg = rep.mean("ndcg", 10)
         else:

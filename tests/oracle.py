@@ -2,7 +2,8 @@
 
 The package computes the model over whole matrices (`model.forward_all`),
 draws negatives in blocks (`training.sample_pairs`), parses TSV files in
-bulk passes (`data.load_*`) and ranks every task of an evaluation at once
+bulk passes (`data.load_*`), builds ranking tasks as int arrays
+(`evaluation.build_tasks`) and ranks every task of an evaluation at once
 (`evaluation.evaluate_tasks`). These functions compute the same quantities
 one entity at a time, with the checks of the scalar definitions, so tests
 can compare the two.
@@ -220,6 +221,10 @@ def load_interactions(path):
             raise DataError(f"{path}:{lineno}: non-integer id in {line!r}") from None
         if a < 0 or i < 0:
             raise DataError(f"{path}:{lineno}: negative id in {line!r}")
+        for name, value in (("user", a), ("item", i)):
+            count = (header or {}).get(f"{name}s")
+            if count is not None and value >= count:
+                raise DataError(f"{path}:{lineno}: {name} id {value} out of range [0, {count})")
         edges.append((a, i))
     if not edges and header is None:
         raise DataError(f"{path}: empty interaction file")
@@ -247,6 +252,9 @@ def load_social(path):
             raise DataError(f"{path}:{lineno}: non-integer id in {line!r}") from None
         if a == b:
             raise DataError(f"{path}:{lineno}: self-loop on user {a}")
+        users = (header or {}).get("users")
+        if users is not None and not (0 <= a < users and 0 <= b < users):
+            raise DataError(f"{path}:{lineno}: social edge ({a},{b}) out of range [0, {users})")
         edges.append((a, b))
     if not edges and header is None:
         raise DataError(f"{path}: empty social file")
@@ -345,3 +353,40 @@ def evaluate_tasks(tasks, scorer, n_values):
             sums[("ndcg", n)] += E.ndcg_at_n(ranked, task.positives, n)
     count = max(len(tasks), 1)
     return {key: value / count for key, value in sums.items()}
+
+
+# ---------------------------------------------------------------------------
+# list-based ranking tasks
+
+
+def all_positive_items(bundle, user):
+    """Items rated by `user` in any split (train, validation or test)."""
+    out = set(bundle.train.positives_by_user[user])
+    out.update(bundle.validation.positives_by_user[user])
+    out.update(bundle.test.positives_by_user[user])
+    return out
+
+
+def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test"):
+    """One ranking task per user with at least one positive in `split`.
+
+    Sampled candidates are uniform without replacement over the items the
+    user rated in no split; if fewer than num_negatives exist, all are used.
+    """
+    target = getattr(bundle, split)
+    rng = np.random.default_rng(repetition_seed)
+    tasks = []
+    n_items = bundle.num_items
+    for a in range(bundle.num_users):
+        positives = target.positives_by_user[a]
+        if not positives:
+            continue
+        unrated = E.unrated_items(n_items, all_positive_items(bundle, a))
+        if len(unrated) > num_negatives:
+            sampled = rng.choice(unrated, size=num_negatives, replace=False)
+        else:
+            sampled = unrated
+        tasks.append(
+            E.RankingTask(user=a, positives=list(positives), candidates=list(positives) + sampled.tolist())
+        )
+    return tasks

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialgcn import cli
 from socialgcn import data as D
@@ -54,6 +56,12 @@ class TestConfig:
         p.write_text("nonsense=1\n")
         with pytest.raises(cli.ConfigError, match="nonsense"):
             cli.parse_config(str(p))
+
+    def test_undecodable_config_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe")
+        assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}: ")
 
     def test_missing_social_is_config_error(self, tmp_path):
         path = write_config(tmp_path, synthetic="false", interactions="r.tsv")
@@ -205,11 +213,118 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "entry,value",
+        [
+            ("frozen", 5),
+            ("frozen", [["x"]]),
+            ("frozen", "P"),
+            ("frozen", ["nope"]),
+            ("D", 4.5),
+            ("K", True),
+            ("L", 0),
+            ("use_bias", "yes"),
+        ],
+    )
+    def test_bad_frozen_or_hyperparam_names_it(self, tmp_path, entry, value):
+        hy, params = self.make()
+        path = tmp_path / "j.bin"
+        save_checkpoint(path, hy, params, "fp")
+        if entry == "frozen":
+            self.rewrite_header(path, lambda h: h.update(frozen=value))
+        else:
+            self.rewrite_header(path, lambda h: h["hyperparams"].update({entry: value}))
+        with pytest.raises(CheckpointError, match=f"'{entry}'"):
+            load_checkpoint(path)
+
+    def test_repeated_block_names_it(self, tmp_path):
+        hy, params = self.make()
+        path = tmp_path / "k.bin"
+        save_checkpoint(path, hy, params, "fp")
+        self.rewrite_header(path, lambda h: h["blocks"][1].update(name=h["blocks"][0]["name"]))
+        with pytest.raises(CheckpointError, match="block 'P' appears twice"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.bin"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+HEADER_KEYS = ["hyperparams", "fingerprint", "log_tail", "meta", "frozen", "blocks"]
+HYPER_KEYS = ["D", "L", "K", "feature_mode", "aggregator", "use_bias", "pin_user_base"]
+
+
+@st.composite
+def saved_checkpoints(draw):
+    """The bytes of a saved checkpoint for random hyperparameters and sizes."""
+    D = draw(st.integers(1, 3))
+    featureless = draw(st.booleans())
+    hy = M.HyperParams(
+        D=D,
+        L=D if featureless else draw(st.integers(1, 3)),
+        K=draw(st.integers(0, 2)),
+        feature_mode=M.FEATURELESS if featureless else M.FEATURES,
+        aggregator=draw(st.sampled_from([M.AGG_AVERAGE, M.AGG_MAX])),
+        use_bias=draw(st.booleans()),
+        pin_user_base=draw(st.booleans()),
+    )
+    params = M.init_params(hy, draw(st.integers(0, 4)), draw(st.integers(0, 4)), 2, 2, seed=0)
+    return hy, params
+
+
+class TestCheckpointFuzz:
+    """Every corruption of a saved checkpoint loads cleanly or raises CheckpointError."""
+
+    @staticmethod
+    def load_or_checkpoint_error(path, raw):
+        path.write_bytes(raw)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+
+    @staticmethod
+    def header_end(raw):
+        return 20 + struct.unpack_from("<Q", raw, 12)[0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(saved=saved_checkpoints(), data=st.data())
+    def test_corruption_fails_closed(self, tmp_path_factory, saved, data):
+        path = tmp_path_factory.mktemp("fuzz") / "c.bin"
+        save_checkpoint(path, *saved, "fp", ["line"], {"seed": 0})
+        raw = path.read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "flip", "substitute"]))
+        if kind == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "flip":
+            at = data.draw(st.integers(0, self.header_end(raw) - 1))
+            raw = raw[:at] + bytes([raw[at] ^ (1 << data.draw(st.integers(0, 7)))]) + raw[at + 1 :]
+        else:
+            header = json.loads(raw[20 : self.header_end(raw)])
+            key = data.draw(st.sampled_from(HEADER_KEYS + HYPER_KEYS))
+            (header if key in HEADER_KEYS else header["hyperparams"])[key] = data.draw(JSON)
+            new = json.dumps(header).encode("utf-8")
+            raw = raw[:12] + struct.pack("<Q", len(new)) + new + raw[self.header_end(raw) :]
+        self.load_or_checkpoint_error(path, raw)
+
+    def test_every_truncation_and_header_bit_flip_fails_closed(self, tmp_path):
+        hy = M.HyperParams(D=2, L=2, K=1, pin_user_base=True)
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, hy, M.init_params(hy, 3, 2, 2, 2, seed=0), "fp", ["line"], {"seed": 0})
+        raw = path.read_bytes()
+        for size in range(len(raw)):
+            self.load_or_checkpoint_error(path, raw[:size])
+        for at in range(self.header_end(raw)):
+            for bit in range(8):
+                flipped = raw[:at] + bytes([raw[at] ^ (1 << bit)]) + raw[at + 1 :]
+                self.load_or_checkpoint_error(path, flipped)
 
 
 class TestTrainCommand:

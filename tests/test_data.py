@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -50,6 +52,15 @@ class TestLoadInteractions:
         path = write(tmp_path, "r.tsv", "# hi\n0\t0\n")
         assert D.load_interactions(path).num_edges == 1
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [("9\t1", "user id 9 out of range [0, 5)"), ("1\t7", "item id 7 out of range [0, 5)")],
+    )
+    def test_id_past_header_names_line(self, tmp_path, line, message):
+        path = write(tmp_path, "r.tsv", f"users=5 items=5\n0\t1\n{line}\n")
+        with pytest.raises(D.DataError, match=re.escape(f"r.tsv:3: {message}")):
+            D.load_interactions(path)
+
 
 class TestLoadSocial:
     def test_basic(self, tmp_path):
@@ -60,6 +71,14 @@ class TestLoadSocial:
     def test_self_loop(self, tmp_path):
         path = write(tmp_path, "s.tsv", "3\t3\n")
         with pytest.raises(D.DataError, match="self-loop"):
+            D.load_social(path)
+
+    @pytest.mark.parametrize("line", ["9\t1", "1\t7", "-1\t2"])
+    def test_id_past_header_names_line(self, tmp_path, line):
+        path = write(tmp_path, "s.tsv", f"users=5\n0\t1\n{line}\n")
+        a, b = line.split("\t")
+        message = f"s.tsv:3: social edge ({a},{b}) out of range [0, 5)"
+        with pytest.raises(D.DataError, match=re.escape(message)):
             D.load_social(path)
 
     def test_empty_with_header(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,24 +124,73 @@ class TestBuildTasks:
         b = self.bundle()
         tasks = E.build_tasks(b, num_negatives=10_000, repetition_seed=0)
         for t in tasks:
-            rated = b.all_positive_items(t.user)
+            rated = O.all_positive_items(b, t.user)
             assert len(t.candidates) == len(t.positives) + (b.num_items - len(rated))
 
     def test_candidates_unrated_in_every_split(self):
         b = self.bundle()
         tasks = E.build_tasks(b, num_negatives=20, repetition_seed=3)
         for t in tasks:
-            rated = b.all_positive_items(t.user)
-            sampled = set(t.candidates) - set(t.positives)
+            rated = O.all_positive_items(b, t.user)
+            sampled = set(t.candidates.tolist()) - set(t.positives.tolist())
             assert not (sampled & rated)
             for p in t.positives:
-                assert t.candidates.count(p) == 1
+                assert np.count_nonzero(t.candidates == p) == 1
 
     def test_deterministic(self):
         b = self.bundle()
         t1 = E.build_tasks(b, num_negatives=20, repetition_seed=9)
         t2 = E.build_tasks(b, num_negatives=20, repetition_seed=9)
-        assert [(t.user, t.candidates) for t in t1] == [(t.user, t.candidates) for t in t2]
+        listed = lambda tasks: [(t.user, t.candidates.tolist()) for t in tasks]
+        assert listed(t1) == listed(t2)
+
+
+SPLITS = ("train", "validation", "test")
+
+
+@st.composite
+def split_bundles(draw):
+    """Bundles where each user rates no item, some items or every item, each
+    rated item in one or more splits."""
+    n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(1, 20))
+    edges = {name: [] for name in SPLITS}
+    for a in range(n_users):
+        rated = draw(st.sampled_from([[], list(range(n_items)), None]))
+        if rated is None:
+            rated = draw(st.lists(st.integers(0, n_items - 1), unique=True))
+        for i in rated:
+            for name in draw(st.sets(st.sampled_from(SPLITS), min_size=1)):
+                edges[name].append((a, i))
+    return D.DatasetBundle(*(D.InteractionMatrix.from_edges(edges[n], n_users, n_items) for n in SPLITS))
+
+
+class TestBuildTasksMatchesListReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bundle=split_bundles(),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        split=st.sampled_from(SPLITS),
+    )
+    def test_equal_tasks_and_generator_state(self, bundle, data, seed, split):
+        # one below, at or one above some user's count of unrated items
+        unrated = [bundle.num_items - len(O.all_positive_items(bundle, a)) for a in range(bundle.num_users)]
+        num_negatives = max(0, data.draw(st.sampled_from(unrated)) + data.draw(st.integers(-1, 1)))
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        with mock.patch.object(np.random, "default_rng", recording_rng):
+            got = E.build_tasks(bundle, num_negatives, seed, split)
+            want = O.build_tasks(bundle, num_negatives, seed, split)
+        assert [(t.user, t.positives.tolist(), t.candidates.tolist()) for t in got] == [
+            (t.user, t.positives, t.candidates) for t in want
+        ]
+        assert all(t.positives.dtype == t.candidates.dtype == np.int64 for t in got)
+        assert made[0].bit_generator.state == made[1].bit_generator.state
 
 
 class TestEvaluate:

@@ -384,6 +384,21 @@ class TestTrain:
         for name in p1.names():
             assert np.array_equal(p1[name], p2[name])
 
+    def test_two_epochs_with_validation_build_one_graph(self, monkeypatch):
+        bundle = tiny_bundle(users=15, items=12, seed=30)
+        assert bundle.validation.num_edges > 0
+        graphs = []
+
+        class CountingGraph(M.Graph):
+            def __init__(self, bundle):
+                graphs.append(self)
+                super().__init__(bundle)
+
+        monkeypatch.setattr(M, "Graph", CountingGraph)
+        _, log = T.train(bundle, M.HyperParams(D=3, L=2, K=1), self.train_config(max_epochs=2))
+        assert len(log) == 2
+        assert len(graphs) == 1
+
     def test_zero_epochs_returns_init(self):
         bundle = tiny_bundle(users=10, items=8, seed=31)
         hy = M.HyperParams(D=3, L=2, K=1)
