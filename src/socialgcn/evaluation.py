@@ -76,7 +76,7 @@ def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test"):
     edges = {name: getattr(bundle, name).edge_arrays() for name in ("train", "validation", "test")}
     pos_users, pos_items = edges[split]
     rated_users, rated_items = (np.concatenate(parts) for parts in zip(*edges.values()))
-    rated_items = rated_items[np.argsort(rated_users, kind="stable")]
+    rated_items = rated_items[np.argsort(rated_users)]
     rated_ptr, pos_ptr = (
         np.concatenate(([0], np.cumsum(np.bincount(users, minlength=bundle.num_users)))).tolist()
         for users in (rated_users, pos_users)
@@ -241,7 +241,7 @@ def evaluate(params, hypers, bundle, config, split="test", graph=None):
     U, V, _ = M.forward_all(params, hypers, bundle, graph)
 
     def scorer(task):
-        return V[task.candidates] @ U[task.user]
+        return V.take(task.candidates, axis=0) @ U[task.user]
 
     per_rep = {(m, n): [] for m in ("hr", "ndcg") for n in config.n_values}
     for rep in range(config.repetitions):
