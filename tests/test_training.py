@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -383,6 +384,21 @@ class TestTrain:
         assert strip(log1) == strip(log2)
         for name in p1.names():
             assert np.array_equal(p1[name], p2[name])
+
+    @pytest.mark.parametrize("aggregator,digest", [
+        ("average", "eb2780fe911506ab9b1257027141fcc7a92705913a09c2f301da9f94b57b607c"),
+        ("max", "0c53174467c5e767b8e7ba31cf4ca6db1431f7a1299ae9d68a107c53c6c5cdbd"),
+    ])
+    def test_trained_parameters_are_pinned(self, aggregator, digest):
+        # frozen digests: any bit drift in sampling, forward, backward or Adam changes them
+        bundle = D.generate_synthetic(D.SyntheticSpec(users=40, items=30, seed=9))
+        hy = M.HyperParams(D=4, L=3, K=2, aggregator=aggregator)
+        params, _ = T.train(bundle, hy, self.train_config(max_epochs=1))
+        h = hashlib.sha256()
+        for name in params.names():
+            h.update(name.encode())
+            h.update(params[name].astype("<f8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_two_epochs_with_validation_build_one_graph(self, monkeypatch):
         bundle = tiny_bundle(users=15, items=12, seed=30)
