@@ -34,8 +34,8 @@ def _parse_header(line):
     return out
 
 
-def _adjacency(sources, targets, num_sources, num_targets):
-    """The ascending distinct targets of each source id, one list per source.
+def _csr(sources, targets, num_sources, num_targets):
+    """CSR (indptr, indices) int64 arrays of the ascending distinct targets of each source id.
 
     Sorts the keys source * num_targets + target; np.sort and a neighbour
     mask cost a tenth of np.unique's time on NumPy 2 at these sizes.
@@ -44,22 +44,17 @@ def _adjacency(sources, targets, num_sources, num_targets):
     distinct = np.ones(len(keys), dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
     sources, targets = np.divmod(keys[distinct], max(num_targets, 1))
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=num_sources)))).tolist()
-    flat = targets.tolist()
-    return [flat[start:stop] for start, stop in itertools.pairwise(bounds)]
+    return np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=num_sources)))), targets
 
 
-def _edge_arrays(rows):
-    """(sources, targets) int64 arrays of every edge of per-source lists, in list order."""
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    sources = np.repeat(np.arange(len(rows)), counts)
-    targets = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(counts.sum()))
-    return sources, targets
-
-
-def _edge_lines(rows):
-    """'a<TAB>b\\n' for every b in rows[a], in list order: the TSV body of an edge list."""
-    return "".join(f"{a}\t" + f"\n{a}\t".join(map(str, row)) + "\n" for a, row in enumerate(rows) if row)
+def _edge_lines(table):
+    """'a<TAB>b\\n' for every edge (a, b) of a table, in row order: the TSV body of an edge list."""
+    targets = list(map(str, table.indices.tolist()))
+    return "".join(
+        f"{a}\t" + f"\n{a}\t".join(targets[start:stop]) + "\n"
+        for a, (start, stop) in enumerate(itertools.pairwise(table.indptr.tolist()))
+        if start < stop
+    )
 
 
 def _first_edge(sources, targets, bad):
@@ -68,14 +63,63 @@ def _first_edge(sources, targets, bad):
     return candidates[np.lexsort((targets[candidates], sources[candidates]))[0]]
 
 
-@dataclass
-class InteractionMatrix:
-    """Sparse binary user-item positive feedback, indexed both ways."""
+class Rows:
+    """Read-only view of a table's rows: rows[a] is row a as a list of ints."""
+
+    def __init__(self, table):
+        self._indptr, self._indices = table.indptr, table.indices
+
+    def __len__(self):
+        return len(self._indptr) - 1
+
+    def __getitem__(self, a):
+        a = range(len(self))[a]  # as a list indexes: negative a counts from the end, others raise IndexError
+        return self._indices[self._indptr[a] : self._indptr[a + 1]].tolist()
+
+
+class _Table:
+    """Rows of ascending, duplicate-free column ids, held as read-only CSR int64 arrays.
+
+    Row a is indices[indptr[a]:indptr[a + 1]]; indptr starts at 0 and has
+    one entry more than there are rows.
+    """
+
+    def __post_init__(self):
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(value, getattr(other, name)) for name, value in vars(self).items()
+        )
+
+    @classmethod
+    def from_edges(cls, edges, *counts):
+        """from_arrays for a list of (source, target) pairs, with from_arrays' optional counts."""
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        return cls.from_arrays(pairs[:, 0], pairs[:, 1], *counts)
+
+    @property
+    def num_edges(self):
+        return len(self.indices)
+
+    def edge_arrays(self):
+        """(sources, targets) int64 arrays of every edge, in (source, target) order."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr)), self.indices
+
+    def edges(self):
+        """Every edge as a (source, target) pair of ints, in (source, target) order."""
+        sources, targets = self.edge_arrays()
+        return list(zip(sources.tolist(), targets.tolist()))
+
+
+@dataclass(eq=False)
+class InteractionMatrix(_Table):
+    """Sparse binary user-item positive feedback; row a holds the items user a rated."""
 
     num_users: int
     num_items: int
-    positives_by_user: list[list[int]]
-    positives_by_item: list[list[int]]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
     def from_arrays(cls, users, items, num_users=None, num_items=None):
@@ -97,42 +141,20 @@ class InteractionMatrix:
             if bad_user[k]:
                 raise DataError(f"user id {users[k]} out of range [0, {num_users})")
             raise DataError(f"item id {items[k]} out of range [0, {num_items})")
-        return cls(
-            num_users,
-            num_items,
-            _adjacency(users, items, num_users, num_items),
-            _adjacency(items, users, num_items, num_users),
-        )
-
-    @classmethod
-    def from_edges(cls, edges, num_users=None, num_items=None):
-        """from_arrays for a list of (user, item) pairs."""
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        return cls.from_arrays(pairs[:, 0], pairs[:, 1], num_users, num_items)
-
-    def edges(self):
-        return [(a, i) for a in range(self.num_users) for i in self.positives_by_user[a]]
-
-    def edge_arrays(self):
-        """(users, items) int64 arrays of every edge, in (user, item) order."""
-        return _edge_arrays(self.positives_by_user)
+        return cls(num_users, num_items, *_csr(users, items, num_users, num_items))
 
     @property
-    def num_edges(self):
-        return sum(len(r) for r in self.positives_by_user)
-
-    def has(self, a, i):
-        row = self.positives_by_user[a]
-        lo = np.searchsorted(row, i)
-        return lo < len(row) and row[lo] == i
+    def positives_by_user(self):
+        return Rows(self)
 
 
-@dataclass
-class SocialGraph:
-    """Directed follow graph; followees_by_user[a] is a's ego network."""
+@dataclass(eq=False)
+class SocialGraph(_Table):
+    """Directed follow graph; row a (followees_by_user[a]) is a's ego network."""
 
     num_users: int
-    followees_by_user: list[list[int]]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
     def from_arrays(cls, followers, followees, num_users=None):
@@ -154,24 +176,11 @@ class SocialGraph:
             raise DataError(
                 f"social edge ({followers[k]},{followees[k]}) out of range [0, {num_users})"
             )
-        return cls(num_users, _adjacency(followers, followees, num_users, num_users))
-
-    @classmethod
-    def from_edges(cls, edges, num_users=None):
-        """from_arrays for a list of (follower, followee) pairs."""
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        return cls.from_arrays(pairs[:, 0], pairs[:, 1], num_users)
-
-    def edges(self):
-        return [(a, b) for a in range(self.num_users) for b in self.followees_by_user[a]]
-
-    def edge_arrays(self):
-        """(followers, followees) int64 arrays of every edge, in (follower, followee) order."""
-        return _edge_arrays(self.followees_by_user)
+        return cls(num_users, *_csr(followers, followees, num_users, num_users))
 
     @property
-    def num_edges(self):
-        return sum(len(r) for r in self.followees_by_user)
+    def followees_by_user(self):
+        return Rows(self)
 
 
 @dataclass
@@ -232,10 +241,10 @@ class DatasetBundle:
         """Content hash over a canonical serialization of the whole bundle."""
         text = [f"users={self.num_users} items={self.num_items}\n"]
         for name, m in (("train", self.train), ("validation", self.validation), ("test", self.test)):
-            text += [f"[{name}]\n", _edge_lines(m.positives_by_user)]
+            text += [f"[{name}]\n", _edge_lines(m)]
         text.append("[social]\n")
         if self.social is not None:
-            text.append(_edge_lines(self.social.followees_by_user))
+            text.append(_edge_lines(self.social))
         h = hashlib.sha256("".join(text).encode())
         for name, ft in (("user_features", self.user_features), ("item_features", self.item_features)):
             h.update(f"[{name}]\n".encode())
@@ -290,7 +299,7 @@ def _two_fields(rows):
 
 def _edge_fault(fields, line_fault, range_fault, header):
     """Per-line fault of an "a<TAB>b" line: field count, integer ids, line_fault(a, b, line),
-    64-bit ids, then range_fault(a, b, header)."""
+    64-bit ids, range_fault(a, b, header), then negative ids."""
 
     def fault(line):
         parts = line.split("\t")
@@ -303,7 +312,10 @@ def _edge_fault(fields, line_fault, range_fault, header):
         message = line_fault(a, b, line)
         if message is None and (a not in _INT64 or b not in _INT64):
             return f"id out of range in {line!r}"
-        return message or range_fault(a, b, header)
+        message = message or range_fault(a, b, header)
+        if message is None and (a < 0 or b < 0):
+            return f"negative id in {line!r}"
+        return message
 
     return fault
 
@@ -316,9 +328,9 @@ def _outside(ids, count):
 def _load_edges(path, kind, fields, bad_rows, line_fault, range_fault):
     """The header and the (n, 2) int64 ids of an "a<TAB>b" edge file.
 
-    `bad_rows(ids, header)` flags the rows that `line_fault(a, b, line)` or
-    `range_fault(a, b, header)` names; when a row is flagged or any line is
-    malformed, the first faulty line is reported.
+    `bad_rows(ids, header)` flags the rows that `line_fault(a, b, line)`,
+    `range_fault(a, b, header)` or a negative id make faulty; when a row is
+    flagged or any line is malformed, the first faulty line is reported.
     """
     lines, rows = _read_rows(path)
     header = _parse_header(rows[0]) if rows else None
@@ -373,7 +385,7 @@ def load_social(path) -> SocialGraph:
         path,
         "social",
         "follower<TAB>followee",
-        lambda ids, h: (ids[:, 0] == ids[:, 1]) | _outside(ids, h.get("users")).any(axis=1),
+        lambda ids, h: (ids[:, 0] == ids[:, 1]) | ((ids < 0) | _outside(ids, h.get("users"))).any(axis=1),
         lambda a, b, line: f"self-loop on user {a}" if a == b else None,
         _social_range_fault,
     )
@@ -443,13 +455,13 @@ def _fmt(x):
 def save_interactions(matrix, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"users={matrix.num_users} items={matrix.num_items}\n")
-        fh.write(_edge_lines(matrix.positives_by_user))
+        fh.write(_edge_lines(matrix))
 
 
 def save_social(graph, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"users={graph.num_users}\n")
-        fh.write(_edge_lines(graph.followees_by_user))
+        fh.write(_edge_lines(graph))
 
 
 def save_features(table, path):
@@ -477,44 +489,34 @@ def preprocess_filter(
             f"interaction users ({raw_interactions.num_users}) != "
             f"social users ({raw_social.num_users})"
         )
-    users = set(range(raw_interactions.num_users))
-    items = set(range(raw_interactions.num_items))
-    rated = {a: set(raw_interactions.positives_by_user[a]) for a in users}
-    social_edges = set(raw_social.edges())
+    users, items = raw_interactions.edge_arrays()
+    followers, followees = raw_social.edge_arrays()
+    user_kept = np.ones(raw_interactions.num_users, dtype=bool)
+    item_kept = np.ones(raw_interactions.num_items, dtype=bool)
 
     while True:
-        links = {a: 0 for a in users}
-        for a, b in social_edges:
-            links[a] += 1
-            links[b] += 1
-        drop_users = {
-            a for a in users if len(rated[a] & items) < min_ratings or links[a] < min_links
-        }
-        item_deg = {i: 0 for i in items}
-        for a in users:
-            if a in drop_users:
-                continue
-            for i in rated[a] & items:
-                item_deg[i] += 1
-        drop_items = {i for i in items if item_deg[i] < min_item_degree}
-        if not drop_users and not drop_items:
+        rating = user_kept[users] & item_kept[items]
+        link = user_kept[followers] & user_kept[followees]
+        links = np.bincount(followers[link], minlength=len(user_kept))
+        links += np.bincount(followees[link], minlength=len(user_kept))
+        ratings = np.bincount(users[rating], minlength=len(user_kept))
+        drop_users = user_kept & ((ratings < min_ratings) | (links < min_links))
+        item_deg = np.bincount(items[rating & ~drop_users[users]], minlength=len(item_kept))
+        drop_items = item_kept & (item_deg < min_item_degree)
+        if not drop_users.any() and not drop_items.any():
             break
-        users -= drop_users
-        items -= drop_items
-        social_edges = {(a, b) for a, b in social_edges if a in users and b in users}
+        user_kept &= ~drop_users
+        item_kept &= ~drop_items
 
-    if not users or not items:
+    if not user_kept.any() or not item_kept.any():
         raise DataError("preprocess_filter removed every user or item")
 
-    user_map = {old: new for new, old in enumerate(sorted(users))}
-    item_map = {old: new for new, old in enumerate(sorted(items))}
-    kept_edges = [
-        (user_map[a], item_map[i]) for a in users for i in rated[a] & items
-    ]
-    inter = InteractionMatrix.from_edges(kept_edges, len(user_map), len(item_map))
-    soc = SocialGraph.from_edges(
-        [(user_map[a], user_map[b]) for a, b in social_edges], len(user_map)
-    )
+    new_user, new_item = np.cumsum(user_kept) - 1, np.cumsum(item_kept) - 1
+    num_users, num_items = int(new_user[-1]) + 1, int(new_item[-1]) + 1
+    user_map = dict(zip(np.flatnonzero(user_kept).tolist(), range(num_users)))
+    item_map = dict(zip(np.flatnonzero(item_kept).tolist(), range(num_items)))
+    inter = InteractionMatrix.from_arrays(new_user[users[rating]], new_item[items[rating]], num_users, num_items)
+    soc = SocialGraph.from_arrays(new_user[followers[link]], new_user[followees[link]], num_users)
     return inter, soc, user_map, item_map
 
 

@@ -73,25 +73,23 @@ def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test"):
     user rated in no split; if fewer than num_negatives exist, all are used.
     The Generator draws once per user that needs sampling, in user order.
     """
-    edges = {name: getattr(bundle, name).edge_arrays() for name in ("train", "validation", "test")}
-    pos_users, pos_items = edges[split]
-    rated_users, rated_items = (np.concatenate(parts) for parts in zip(*edges.values()))
+    tables = [bundle.train, bundle.validation, bundle.test]
+    rated_users, rated_items = (np.concatenate(parts) for parts in zip(*(t.edge_arrays() for t in tables)))
     rated_items = rated_items[np.argsort(rated_users)]
-    rated_ptr, pos_ptr = (
-        np.concatenate(([0], np.cumsum(np.bincount(users, minlength=bundle.num_users)))).tolist()
-        for users in (rated_users, pos_users)
-    )
+    rated_ptr = sum(t.indptr for t in tables).tolist()
+    target = getattr(bundle, split)
+    pos_ptr = target.indptr.tolist()
     unrated = np.ones(bundle.num_items, dtype=bool)  # cleared at one user's rated items at a time
     rng = np.random.default_rng(repetition_seed)
     tasks = []
-    for a in np.flatnonzero(np.diff(pos_ptr)).tolist():
+    for a in np.flatnonzero(np.diff(target.indptr)).tolist():
         rated = rated_items[rated_ptr[a] : rated_ptr[a + 1]]
         unrated[rated] = False
         sampled = unrated.nonzero()[0]
         unrated[rated] = True
         if len(sampled) > num_negatives:
             sampled = rng.choice(sampled, size=num_negatives, replace=False)
-        positives = pos_items[pos_ptr[a] : pos_ptr[a + 1]]
+        positives = target.indices[pos_ptr[a] : pos_ptr[a + 1]]
         tasks.append(RankingTask(a, positives, np.concatenate((positives, sampled))))
     return tasks
 

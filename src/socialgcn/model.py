@@ -8,7 +8,6 @@ fixed to 0.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,28 +147,26 @@ def relu(x):
 # sparse operators
 
 
-def _row_mean_matrix(rows, num_cols):
-    """CSR matrix whose row a holds 1/|rows[a]| at each column in rows[a].
+def _row_mean_matrix(indptr, indices, num_cols):
+    """CSR matrix whose row a holds 1/n at each of the n columns indices[indptr[a]:indptr[a + 1]].
 
-    Each row list must be sorted and free of duplicates, as the
+    Each row must be ascending and free of duplicates, as the
     InteractionMatrix and SocialGraph constructors guarantee; an empty row
     stays all zero.
     """
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=indptr[-1])
+    counts = np.diff(indptr)
     data = np.repeat(1.0 / np.maximum(counts, 1), counts)
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), num_cols))
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(counts), num_cols))
 
 
 def mean_adjacency(social):
     """Row-normalized follow adjacency: (A h)[a] = mean of h over S_a."""
-    return _row_mean_matrix(social.followees_by_user, social.num_users)
+    return _row_mean_matrix(social.indptr, social.indices, social.num_users)
 
 
 def history_mean_matrix(train):
     """Rows: 1/|R_a| over a's training positives (zero row when R_a is empty)."""
-    return _row_mean_matrix(train.positives_by_user, train.num_items)
+    return _row_mean_matrix(train.indptr, train.indices, train.num_items)
 
 
 class Graph:

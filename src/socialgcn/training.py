@@ -8,7 +8,6 @@ gradient apart from the L2 term on P and Q.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -87,26 +86,26 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
     """
     rng = np.random.default_rng([rng_seed, epoch])
     n_items = train.num_items
-    rows = train.positives_by_user
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    indptr, indices = train.indptr, train.indices
+    lengths = np.diff(indptr)
     saturated = (lengths > 0) & (lengths >= n_items)
     kept = np.flatnonzero((lengths > 0) & ~saturated)
     users = np.repeat(kept, lengths[kept] * negatives_per_positive)
-    items = np.fromiter(itertools.chain.from_iterable(rows[a] for a in kept), dtype=np.int64)
-    pos = np.repeat(items, negatives_per_positive)
+    pos = np.repeat(indices[np.repeat(~saturated, lengths)], negatives_per_positive)
     # each user's negatives are filled in place, so no per-user arrays pile up
     neg = np.empty_like(pos)
     rated = np.zeros(n_items, dtype=bool)
     done = 0
-    for a in kept:
-        rated[rows[a]] = True
-        end = done + len(rows[a]) * negatives_per_positive
+    for a in kept.tolist():
+        row = indices[indptr[a] : indptr[a + 1]]
+        rated[row] = True
+        end = done + len(row) * negatives_per_positive
         while done < end:
             block = rng.integers(n_items, size=end - done)
             block = block[~rated[block]]
             neg[done : done + len(block)] = block
             done += len(block)
-        rated[rows[a]] = False
+        rated[row] = False
     return Pairs(users, pos, neg), int(np.count_nonzero(saturated))
 
 

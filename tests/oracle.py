@@ -152,7 +152,7 @@ def aggregate_max(layer, social):
 
 
 # ---------------------------------------------------------------------------
-# line-by-line TSV loaders, list-based constructors, split and fingerprint
+# line-by-line TSV loaders, list-based constructors, degree filter, split and fingerprint
 
 
 def interactions_from_edges(edges, num_users=None, num_items=None):
@@ -163,15 +163,13 @@ def interactions_from_edges(edges, num_users=None, num_items=None):
     if num_items is None:
         num_items = 1 + max((i for _, i in edges), default=-1)
     by_user = [[] for _ in range(num_users)]
-    by_item = [[] for _ in range(num_items)]
     for a, i in edges:
         if not (0 <= a < num_users):
             raise DataError(f"user id {a} out of range [0, {num_users})")
         if not (0 <= i < num_items):
             raise DataError(f"item id {i} out of range [0, {num_items})")
         by_user[a].append(i)
-        by_item[i].append(a)
-    return D.InteractionMatrix(num_users, num_items, by_user, by_item)
+    return D.InteractionMatrix(num_users, num_items, *_csr_of(by_user))
 
 
 def social_from_edges(edges, num_users=None):
@@ -186,7 +184,16 @@ def social_from_edges(edges, num_users=None):
         if not (0 <= a < num_users and 0 <= b < num_users):
             raise DataError(f"social edge ({a},{b}) out of range [0, {num_users})")
         out[a].append(b)
-    return D.SocialGraph(num_users, out)
+    return D.SocialGraph(num_users, *_csr_of(out))
+
+
+def _csr_of(rows):
+    """(indptr, indices) int64 arrays of per-row lists, one row at a time."""
+    indptr, indices = [0], []
+    for row in rows:
+        indices.extend(row)
+        indptr.append(len(indices))
+    return np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
 
 
 def _iter_data_lines(path):
@@ -255,6 +262,8 @@ def load_social(path):
         users = (header or {}).get("users")
         if users is not None and not (0 <= a < users and 0 <= b < users):
             raise DataError(f"{path}:{lineno}: social edge ({a},{b}) out of range [0, {users})")
+        if a < 0 or b < 0:
+            raise DataError(f"{path}:{lineno}: negative id in {line!r}")
         edges.append((a, b))
     if not edges and header is None:
         raise DataError(f"{path}: empty social file")
@@ -317,6 +326,50 @@ def split(interactions, config):
         validation=interactions_from_edges(val_e, **dims),
         test=interactions_from_edges(test_e, **dims),
     )
+
+
+def preprocess_filter(raw_interactions, raw_social, min_ratings=2, min_links=2, min_item_degree=2):
+    """Iteratively drop low-degree users/items until all minimums hold, over Python sets."""
+    if raw_interactions.num_users != raw_social.num_users:
+        raise DataError(
+            f"interaction users ({raw_interactions.num_users}) != "
+            f"social users ({raw_social.num_users})"
+        )
+    users = set(range(raw_interactions.num_users))
+    items = set(range(raw_interactions.num_items))
+    rated = {a: set(raw_interactions.positives_by_user[a]) for a in users}
+    social_edges = set(raw_social.edges())
+
+    while True:
+        links = {a: 0 for a in users}
+        for a, b in social_edges:
+            links[a] += 1
+            links[b] += 1
+        drop_users = {
+            a for a in users if len(rated[a] & items) < min_ratings or links[a] < min_links
+        }
+        item_deg = {i: 0 for i in items}
+        for a in users:
+            if a in drop_users:
+                continue
+            for i in rated[a] & items:
+                item_deg[i] += 1
+        drop_items = {i for i in items if item_deg[i] < min_item_degree}
+        if not drop_users and not drop_items:
+            break
+        users -= drop_users
+        items -= drop_items
+        social_edges = {(a, b) for a, b in social_edges if a in users and b in users}
+
+    if not users or not items:
+        raise DataError("preprocess_filter removed every user or item")
+
+    user_map = {old: new for new, old in enumerate(sorted(users))}
+    item_map = {old: new for new, old in enumerate(sorted(items))}
+    kept_edges = [(user_map[a], item_map[i]) for a in users for i in rated[a] & items]
+    inter = interactions_from_edges(kept_edges, len(user_map), len(item_map))
+    soc = social_from_edges([(user_map[a], user_map[b]) for a, b in social_edges], len(user_map))
+    return inter, soc, user_map, item_map
 
 
 def fingerprint(bundle):

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -20,8 +21,8 @@ class TestLoadInteractions:
         path = write(tmp_path, "r.tsv", "0\t0\n0\t1\n1\t0\n")
         m = D.load_interactions(path)
         assert m.num_users == 2 and m.num_items == 2
-        assert m.positives_by_user == [[0, 1], [0]]
-        assert m.positives_by_item == [[0, 1], [0]]
+        assert list(m.positives_by_user) == [[0, 1], [0]]
+        assert np.bincount(m.indices, minlength=m.num_items).tolist() == [2, 1]
 
     def test_dedup(self, tmp_path):
         path = write(tmp_path, "r.tsv", "0\t0\n0\t0\n")
@@ -66,7 +67,7 @@ class TestLoadSocial:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "s.tsv", "0\t1\n0\t2\n")
         g = D.load_social(path)
-        assert g.followees_by_user == [[1, 2], [], []]
+        assert list(g.followees_by_user) == [[1, 2], [], []]
 
     def test_self_loop(self, tmp_path):
         path = write(tmp_path, "s.tsv", "3\t3\n")
@@ -79,6 +80,12 @@ class TestLoadSocial:
         a, b = line.split("\t")
         message = f"s.tsv:3: social edge ({a},{b}) out of range [0, 5)"
         with pytest.raises(D.DataError, match=re.escape(message)):
+            D.load_social(path)
+
+    @pytest.mark.parametrize("line", ["-1\t2", "2\t-1"])
+    def test_negative_id_without_header_names_line(self, tmp_path, line):
+        path = write(tmp_path, "s.tsv", f"0\t1\n{line}\n")
+        with pytest.raises(D.DataError, match=re.escape(f"s.tsv:2: negative id in {line!r}")):
             D.load_social(path)
 
     def test_empty_with_header(self, tmp_path):
@@ -168,8 +175,20 @@ class TestPreprocessFilter:
         for a in range(out.num_users):
             assert len(out.positives_by_user[a]) >= 2
             assert links[a] >= 2
-        for i in range(out.num_items):
-            assert len(out.positives_by_item[i]) >= 2
+        assert (np.bincount(out.indices, minlength=out.num_items) >= 2).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 7)), max_size=60),
+        follows=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
+        minimums=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    )
+    def test_matches_set_reference(self, edges, follows, minimums):
+        inter = D.InteractionMatrix.from_edges(edges, 10, 8)
+        social = D.SocialGraph.from_edges([(a, b) for a, b in follows if a != b], 10)
+        assert outcome(D.preprocess_filter, inter, social, *minimums) == (
+            outcome(O.preprocess_filter, inter, social, *minimums)
+        )
 
     def test_everything_filtered_reported(self):
         inter = D.InteractionMatrix.from_edges([(0, 0)], 2, 1)
@@ -413,12 +432,21 @@ class TestArrayConstructors:
         items=st.none() | st.integers(0, 9),
     )
     def test_from_edges_matches_reference(self, edges, users, items):
-        assert outcome(D.InteractionMatrix.from_edges, edges, users, items) == (
-            outcome(O.interactions_from_edges, edges, users, items)
-        )
-        assert outcome(D.SocialGraph.from_edges, edges, users) == (
-            outcome(O.social_from_edges, edges, users)
-        )
+        inter = outcome(D.InteractionMatrix.from_edges, edges, users, items)
+        social = outcome(D.SocialGraph.from_edges, edges, users)
+        assert inter == outcome(O.interactions_from_edges, edges, users, items)
+        assert social == outcome(O.social_from_edges, edges, users)
+        for table in (inter, social):
+            if isinstance(table, str):
+                continue
+            indptr, indices = table.indptr, table.indices
+            assert indptr.dtype == indices.dtype == np.int64
+            assert not indptr.flags.writeable and not indices.flags.writeable
+            assert len(indptr) == table.num_users + 1
+            assert indptr[0] == 0 and indptr[-1] == len(indices)
+            assert (np.diff(indptr) >= 0).all()
+            for start, stop in itertools.pairwise(indptr.tolist()):
+                assert (np.diff(indices[start:stop]) > 0).all()
 
     @settings(max_examples=100, deadline=None)
     @given(

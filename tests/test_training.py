@@ -45,8 +45,8 @@ class TestSamplePairs:
         bundle = tiny_bundle(seed=2)
         samples, _ = T.sample_pairs(bundle.train, 5, rng_seed=1)
         for a, i, j in triples(samples):
-            assert not bundle.train.has(a, j)
-            assert bundle.train.has(a, i)
+            assert j not in bundle.train.positives_by_user[a]
+            assert i in bundle.train.positives_by_user[a]
 
     def test_saturated_user_skipped_with_count(self):
         train = D.InteractionMatrix.from_edges([(0, i) for i in range(3)] + [(1, 0)], 2, 3)
@@ -208,7 +208,7 @@ class TestGradients:
         params = M.init_params(hy, 5, 8, 8, 8, seed=6)
         lam = 0.01
         batch = pairs((0, bundle.train.positives_by_user[0][0],
-                       next(j for j in range(8) if not bundle.train.has(0, j))))
+                       next(j for j in range(8) if j not in bundle.train.positives_by_user[0])))
         touched = {int(batch.pos[0]), int(batch.neg[0])}
         touched.update(bundle.train.positives_by_user[0])
         grads = T.compute_gradients(params, hy, bundle, batch, lambda_reg=lam)
