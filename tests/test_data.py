@@ -22,6 +22,9 @@ class TestLoadInteractions:
         m = D.load_interactions(path)
         assert m.num_users == 2 and m.num_items == 2
         assert list(m.positives_by_user) == [[0, 1], [0]]
+        assert m.positives_by_user[-1] == [0]
+        with pytest.raises(IndexError):
+            m.positives_by_user[2]
         assert np.bincount(m.indices, minlength=m.num_items).tolist() == [2, 1]
 
     def test_dedup(self, tmp_path):
