@@ -67,12 +67,11 @@ def _hypers_dict(hypers):
 
 
 def save_checkpoint(path, hypers, params, fingerprint, log_tail=(), meta=None):
-    blocks = []
-    payloads = []
-    for name, arr in params.items():
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        blocks.append({"name": name, "shape": list(arr.shape), "dtype": "<f8", "nbytes": len(data)})
-        payloads.append(data)
+    # one block per tensor; the payloads, in block order, are the bytes of params.flat
+    blocks = [
+        {"name": name, "shape": list(arr.shape), "dtype": "<f8", "nbytes": 8 * arr.size}
+        for name, arr in params.items()
+    ]
     header = {
         "hyperparams": _hypers_dict(hypers),
         "fingerprint": fingerprint,
@@ -87,8 +86,7 @@ def save_checkpoint(path, hypers, params, fingerprint, log_tail=(), meta=None):
     out += struct.pack("<I", VERSION)
     out += struct.pack("<Q", len(header_bytes))
     out += header_bytes
-    for data in payloads:
-        out += data
+    out += params.flat.astype("<f8").tobytes()
     atomic_write_bytes(path, bytes(out))
 
 
@@ -176,8 +174,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: block {name!r} appears twice")
         if off + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload for block {name!r}")
-        arr = np.frombuffer(raw[off : off + nbytes], dtype="<f8").astype(np.float64)
-        arrays[name] = arr.reshape(shape)
+        arrays[name] = np.frombuffer(raw, dtype="<f8", count=nbytes // 8, offset=off).reshape(shape)
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes after last block")

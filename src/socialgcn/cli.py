@@ -175,28 +175,27 @@ class RunConfig:
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
+# A parser per RunConfig field annotation, a string under `from __future__ import annotations`.
+_PARSERS = {
+    "bool": lambda raw: _BOOL[raw.lower()],
+    "int": int,
+    "float": float,
+    "str": str,
+    "list[int]": lambda raw: [int(v) for v in raw.split(",") if v.strip()],
+    "list[str]": lambda raw: [v.strip() for v in raw.split(",") if v.strip()],
+}
+
 
 def _coerce(name, ftype, raw):
+    parse = _PARSERS[ftype]
     try:
-        if ftype is bool:
-            return _BOOL[raw.strip().lower()]
-        if ftype is int:
-            return int(raw)
-        if ftype is float:
-            return float(raw)
-        if ftype is str:
-            return raw
-        if ftype == "list[int]":
-            return [int(v) for v in raw.split(",") if v.strip()]
-        if ftype == "list[str]":
-            return [v.strip() for v in raw.split(",") if v.strip()]
+        return parse(raw)
     except (ValueError, KeyError):
         raise ConfigError(f"bad value for {name!r}: {raw!r}") from None
-    raise ConfigError(f"cannot parse config key {name!r}")
 
 
 def parse_config(path):
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -211,15 +210,9 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in fields:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        f = fields[key]
-        ftype = f.type if isinstance(f.type, str) else f.type.__name__
-        if key == "n":
-            ftype = "list[int]"
-        elif key == "variants":
-            ftype = "list[str]"
-        values[key] = _coerce(key, {"bool": bool, "int": int, "float": float, "str": str}.get(ftype, ftype), val.strip())
+        values[key] = _coerce(key, types[key], val.strip())
     return RunConfig(**values)
 
 

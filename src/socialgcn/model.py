@@ -49,52 +49,65 @@ class HyperParams:
         return self.feature_mode == FEATURES
 
 
-class TensorBundle:
-    """Ordered name->array container shared by params, gradients and moments."""
+class ModelParams:
+    """Named tensors, in insertion order, as views into one float64 vector `flat`.
 
-    def __init__(self, arrays):
-        self.arrays = dict(arrays)
-
-    def __getitem__(self, name):
-        return self.arrays[name]
-
-    def __setitem__(self, name, value):
-        self.arrays[name] = value
-
-    def __contains__(self, name):
-        return name in self.arrays
-
-    def names(self):
-        return list(self.arrays)
-
-    def items(self):
-        return self.arrays.items()
-
-    def copy(self):
-        return TensorBundle({k: v.copy() for k, v in self.arrays.items()})
-
-    def zeros_like(self):
-        return TensorBundle({k: np.zeros_like(v) for k, v in self.arrays.items()})
-
-    def all_finite(self):
-        return all(np.all(np.isfinite(v)) for v in self.arrays.values())
-
-
-class ModelParams(TensorBundle):
-    """Trainable tensors plus the set of frozen (non-trainable) names."""
+    Parameters, gradients and Adam's moments share the layout. Assignment writes
+    into a tensor's view and must match its shape. Adam leaves `frozen` ones unchanged.
+    """
 
     def __init__(self, arrays, frozen=()):
-        super().__init__(arrays)
-        self.frozen = set(frozen)
+        arrays = dict(arrays)
+        layout, stop = {}, 0
+        for name, value in arrays.items():
+            start, stop = stop, stop + np.size(value)
+            layout[name] = (slice(start, stop), np.shape(value))
+        self._bind(layout, np.empty(stop), frozen)
+        for name, value in arrays.items():
+            self[name] = value
+
+    def _bind(self, layout, flat, frozen):
+        self._layout, self.flat, self.frozen = layout, flat, set(frozen)
+        self._views = {name: flat[span].reshape(shape) for name, (span, shape) in layout.items()}
+        return self
+
+    def _like(self, flat):
+        return object.__new__(ModelParams)._bind(self._layout, flat, self.frozen)
+
+    def __getitem__(self, name):
+        return self._views[name]
+
+    def __setitem__(self, name, value):
+        view, shape = self._views[name], np.shape(value)
+        if shape != view.shape:
+            raise ModelError(f"tensor {name!r} has shape {view.shape}, cannot assign shape {shape}")
+        view[...] = value
+
+    def __contains__(self, name):
+        return name in self._views
+
+    def names(self):
+        return list(self._views)
+
+    def items(self):
+        return self._views.items()
 
     def copy(self):
-        return ModelParams({k: v.copy() for k, v in self.arrays.items()}, self.frozen)
+        return self._like(self.flat.copy())
+
+    def zeros_like(self):
+        return self._like(np.zeros_like(self.flat))
+
+    def all_finite(self):
+        return bool(np.isfinite(self.flat).all())
 
     def trainable_names(self):
-        return [k for k in self.arrays if k not in self.frozen]
+        return [k for k in self._views if k not in self.frozen]
 
-    def num_trainable(self):
-        return sum(self.arrays[k].size for k in self.trainable_names())
+    def trainable_mask(self):
+        """Boolean vector over `flat`, False on the frozen tensors."""
+        sizes = [v.size for v in self._views.values()]
+        return np.repeat([k not in self.frozen for k in self._views], sizes)
 
 
 def layer_weight_name(k):

@@ -118,12 +118,12 @@ def bpr_pair_loss(score_pos, score_neg):
     return float(np.logaddexp(0.0, -(score_pos - score_neg)))
 
 
-def _pair_mean_loss(U, V, batch):
-    if not batch:
-        return 0.0
-    users, pos, neg = batch.users, batch.pos, batch.neg
-    margins = np.einsum("ij,ij->i", U[users], V[pos] - V[neg])
-    return float(np.mean(np.logaddexp(0.0, -margins)))
+def _pair_terms(U, V, batch):
+    """(mean pairwise loss, U[users], V[pos] - V[neg], score margins) of a non-empty batch."""
+    Uu = U[batch.users]
+    Vd = V[batch.pos] - V[batch.neg]
+    margins = np.einsum("ij,ij->i", Uu, Vd)
+    return float(np.mean(np.logaddexp(0.0, -margins))), Uu, Vd, margins
 
 
 def _reg_term(params, lambda_reg):
@@ -134,47 +134,47 @@ def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0, graph=None):
     """Mean pairwise loss over the batch plus lambda * (|P|^2 + |Q|^2).
 
     The regularizer is added once per batch, not scaled by batch size; an
-    empty batch contributes a vacuous mean of 0.
+    empty batch contributes a vacuous mean of 0. Forward only, for the
+    finite-difference check.
     """
     U, V, _ = M.forward_all(params, hypers, bundle, graph)
-    return _pair_mean_loss(U, V, batch) + _reg_term(params, lambda_reg)
+    return (_pair_terms(U, V, batch)[0] if batch else 0.0) + _reg_term(params, lambda_reg)
 
 
 # ---------------------------------------------------------------------------
 # manual reverse mode
 
 
-def _backward(params, hypers, bundle, graph, forward, batch, lambda_reg):
-    """Gradients of batch_loss, read off the (U, V, state) of forward_all.
+def _loss_and_gradients(params, hypers, bundle, graph, batch, lambda_reg):
+    """(batch_loss, its gradients) from one forward_all; one set of margins serves both.
 
     ReLU'(z) is taken as relu(z) > 0, which equals z > 0 (subgradient 0 at
     the kink), so the pre-activations need not be kept.
     """
-    U, V, state = forward
+    U, V, state = M.forward_all(params, hypers, bundle, graph)
     grads = params.zeros_like()
     D = hypers.D
     num_users, num_items = bundle.num_users, bundle.num_items
 
     if batch:
-        users, pos, neg = batch.users, batch.pos, batch.neg
-        Uu = U[users]
-        Vd = V[pos] - V[neg]
-        margins = np.einsum("ij,ij->i", Uu, Vd)
+        loss, Uu, Vd, margins = _pair_terms(U, V, batch)
         dm = (-expit(-margins) / len(batch))[:, None]
         # bincount adds each flat index's weights from 0.0 in input order,
         # the sums a per-triple scatter makes; gV takes pos then neg
         cols = np.arange(D)
         gU = np.bincount(
-            (users[:, None] * D + cols).ravel(), (dm * Vd).ravel(), num_users * D
+            (batch.users[:, None] * D + cols).ravel(), (dm * Vd).ravel(), num_users * D
         ).reshape(num_users, D)
         gV = np.bincount(
-            (np.concatenate([pos, neg])[:, None] * D + cols).ravel(),
+            (np.concatenate([batch.pos, batch.neg])[:, None] * D + cols).ravel(),
             np.concatenate([dm * Uu, -dm * Uu]).ravel(),
             num_items * D,
         ).reshape(num_items, D)
     else:
+        loss = 0.0
         gU = np.zeros((num_users, D))
         gV = np.zeros((num_items, D))
+    loss += _reg_term(params, lambda_reg)
 
     # U = h^K + hist @ V
     gV += graph.hist_t @ gU
@@ -185,7 +185,7 @@ def _backward(params, hypers, bundle, graph, forward, batch, lambda_reg):
         gZ = gH * (layers[k + 1] > 0.0)
         inputs = np.concatenate([state.aggs[k], layers[k]], axis=1)
         grads[M.layer_weight_name(k)] += gZ.T @ inputs
-        if M.layer_bias_name(k) in grads.arrays:
+        if M.layer_bias_name(k) in grads:
             grads[M.layer_bias_name(k)] += gZ.sum(axis=0)
         gcat = gZ @ params[M.layer_weight_name(k)]
         gAgg = gcat[:, :D]
@@ -203,12 +203,12 @@ def _backward(params, hypers, bundle, graph, forward, batch, lambda_reg):
         X = bundle.user_features.vectors
         gZ0 = gH * (layers[0] > 0.0)
         grads["W0"] += gZ0.T @ np.concatenate([X, params["P"]], axis=1)
-        if "b0" in grads.arrays:
+        if "b0" in grads:
             grads["b0"] += gZ0.sum(axis=0)
         grads["P"] += gZ0 @ params["W0"][:, X.shape[1] :]
         gZV = gV * (V > 0.0)
         grads["F"] += gZV.T @ np.concatenate([params["Q"], bundle.item_features.vectors], axis=1)
-        if "bF" in grads.arrays:
+        if "bF" in grads:
             grads["bF"] += gZV.sum(axis=0)
         grads["Q"] += gZV @ params["F"][:, : hypers.L]
     else:
@@ -217,14 +217,13 @@ def _backward(params, hypers, bundle, graph, forward, batch, lambda_reg):
 
     grads["P"] += 2.0 * lambda_reg * params["P"]
     grads["Q"] += 2.0 * lambda_reg * params["Q"]
-    return grads
+    return loss, grads
 
 
 def compute_gradients(params, hypers, bundle, batch, lambda_reg=0.0, graph=None):
     """Exact gradients of batch_loss w.r.t. every model tensor."""
     graph = M.Graph(bundle) if graph is None else graph
-    forward = M.forward_all(params, hypers, bundle, graph)
-    grads = _backward(params, hypers, bundle, graph, forward, batch, lambda_reg)
+    _, grads = _loss_and_gradients(params, hypers, bundle, graph, batch, lambda_reg)
     if not grads.all_finite():
         raise DivergenceError("non-finite gradient")
     return grads
@@ -312,8 +311,8 @@ def finite_difference_check(
 
 @dataclass
 class AdamState:
-    m: M.TensorBundle
-    v: M.TensorBundle
+    m: M.ModelParams
+    v: M.ModelParams
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -325,21 +324,19 @@ class AdamState:
 
 
 def adam_step(params, adam, grads, lr):
-    """In-place Adam update with bias correction; frozen tensors are skipped."""
+    """In-place Adam step with bias correction on `flat`; frozen tensors update only their moments."""
     adam.step += 1
     t = adam.step
     b1, b2 = adam.beta1, adam.beta2
-    for name in params.names():
-        g = grads[name]
-        adam.m[name] = b1 * adam.m[name] + (1.0 - b1) * g
-        adam.v[name] = b2 * adam.v[name] + (1.0 - b2) * g * g
-        if name in params.frozen:
-            continue
-        mhat = adam.m[name] / (1.0 - b1**t)
-        vhat = adam.v[name] / (1.0 - b2**t)
-        params[name] = params[name] - lr * mhat / (np.sqrt(vhat) + adam.eps)
-        if not np.all(np.isfinite(params[name])):
-            raise DivergenceError(f"non-finite values in {name} after Adam step {t}")
+    g, m, v = grads.flat, adam.m.flat, adam.v.flat
+    m[...] = b1 * m + (1.0 - b1) * g
+    v[...] = b2 * v + (1.0 - b2) * g * g
+    step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + adam.eps)
+    np.subtract(params.flat, step, out=params.flat, where=params.trainable_mask())
+    if not params.all_finite():
+        for name in params.trainable_names():
+            if not np.isfinite(params[name]).all():
+                raise DivergenceError(f"non-finite values in {name} after Adam step {t}")
     return params, adam
 
 
@@ -386,16 +383,16 @@ def train(bundle, hypers, config):
         losses = []
         for start in range(0, len(samples), config.batch_size):
             batch = samples[order[start : start + config.batch_size]]
-            U, V, state = M.forward_all(params, hypers, bundle, graph)
-            loss = _pair_mean_loss(U, V, batch) + _reg_term(params, config.lambda_reg)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grads = _backward(
-                params, hypers, bundle, graph, (U, V, state), batch, config.lambda_reg
-            )
-            if not grads.all_finite():
-                raise DivergenceError(f"non-finite gradient at epoch {epoch}")
-            adam_step(params, adam, grads, config.learning_rate)
+            # overflow here only makes inf or nan, which the finite checks below report
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                loss, grads = _loss_and_gradients(
+                    params, hypers, bundle, graph, batch, config.lambda_reg
+                )
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                if not grads.all_finite():
+                    raise DivergenceError(f"non-finite gradient at epoch {epoch}")
+                adam_step(params, adam, grads, config.learning_rate)
             losses.append(loss)
         epoch_loss = float(np.mean(losses)) if losses else 0.0
 

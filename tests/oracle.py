@@ -3,10 +3,11 @@
 The package computes the model over whole matrices (`model.forward_all`),
 draws negatives in blocks (`training.sample_pairs`), parses TSV files in
 bulk passes (`data.load_*`), builds ranking tasks as int arrays
-(`evaluation.build_tasks`) and ranks every task of an evaluation at once
-(`evaluation.evaluate_tasks`). These functions compute the same quantities
-one entity at a time, with the checks of the scalar definitions, so tests
-can compare the two.
+(`evaluation.build_tasks`), ranks every task of an evaluation at once
+(`evaluation.evaluate_tasks`) and runs Adam once over the flat parameter
+vector (`training.adam_step`). These functions compute the same quantities
+one entity (or tensor) at a time, with the checks of the scalar
+definitions, so tests can compare the two.
 """
 import hashlib
 import math
@@ -17,6 +18,7 @@ from socialgcn import data as D
 from socialgcn import evaluation as E
 from socialgcn import model as M
 from socialgcn.data import DataError, _parse_header
+from socialgcn.training import DivergenceError
 
 
 def _bias(params, name, dim):
@@ -134,6 +136,25 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
                     j = int(rng.integers(n_items))
                 samples.append((a, i, j))
     return samples, skipped_users
+
+
+def adam_step(params, adam, grads, lr):
+    """Adam one tensor at a time, in layout order; frozen tensors update only their moments."""
+    adam.step += 1
+    t = adam.step
+    b1, b2 = adam.beta1, adam.beta2
+    for name in params.names():
+        g = grads[name]
+        adam.m[name] = b1 * adam.m[name] + (1.0 - b1) * g
+        adam.v[name] = b2 * adam.v[name] + (1.0 - b2) * g * g
+        if name in params.frozen:
+            continue
+        mhat = adam.m[name] / (1.0 - b1**t)
+        vhat = adam.v[name] / (1.0 - b2**t)
+        params[name] = params[name] - lr * mhat / (np.sqrt(vhat) + adam.eps)
+        if not np.all(np.isfinite(params[name])):
+            raise DivergenceError(f"non-finite values in {name} after Adam step {t}")
+    return params, adam
 
 
 def aggregate_max(layer, social):

@@ -90,6 +90,14 @@ class TestConfig:
         assert cli.main(["train", "--config", path]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("use_bias", "maybe"), ("dim", "1.5"), ("learning_rate", "abc"), ("n", "5,x")],
+    )
+    def test_unparsable_value_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: bad value for {key!r}: {value!r}\n"
 
     @pytest.mark.parametrize(
         "key,value",
@@ -346,6 +354,13 @@ class TestTrainCommand:
             tmp_path / "o2/checkpoint.bin"
         ).read_bytes()
         assert (tmp_path / "o1/train.log").read_text() == (tmp_path / "o2/train.log").read_text()
+
+    def test_divergence_exits_4(self, tmp_path, capsys):
+        # overflow warnings must not escape: the finite checks report the divergence
+        cfg = write_config(tmp_path, learning_rate="1e300", output_dir=str(tmp_path / "none"))
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric divergence: non-finite loss at epoch 0\n"
+        assert not (tmp_path / "none").exists()
 
     def test_config_error_exit_code_and_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, synthetic="false", interactions="r.tsv",

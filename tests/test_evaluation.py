@@ -280,7 +280,7 @@ class TestAblation:
         base = M.HyperParams(D=4, L=3, K=2)
         full = M.init_params(base, 20, 15, 8, 8, seed=0)
         pinned = M.init_params(E.variant_hypers(base, "p0"), 20, 15, 8, 8, seed=0)
-        assert full.num_trainable() - pinned.num_trainable() == 20 * 3
+        assert full.trainable_mask().sum() - pinned.trainable_mask().sum() == 20 * 3
         assert np.array_equal(pinned["P"], np.zeros((20, 3)))
 
     def test_full_only_run_has_zero_delta(self):

@@ -39,6 +39,29 @@ def passthrough_params(D_, K):
     return M.ModelParams(arrays)
 
 
+class TestModelParams:
+    def test_views_share_one_flat_vector(self):
+        a, b = np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0])
+        params = M.ModelParams({"a": a, "b": b}, frozen={"b"})
+        assert np.array_equal(params.flat, np.concatenate([a.ravel(), b]))
+        params["b"] = np.array([-1.0, -2.0])
+        params["a"][1, 2] = 9.0
+        assert params.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 9.0, -1.0, -2.0]
+        assert params.trainable_mask().tolist() == [True] * 6 + [False] * 2
+        for other in (params.copy(), params.zeros_like()):
+            assert other.names() == ["a", "b"] and other.frozen == {"b"}
+            other.flat[:] = 5.0
+            assert np.array_equal(other["a"], np.full((2, 3), 5.0))
+        assert params.flat[0] == 0.0
+
+    def test_wrong_shape_assignment_names_tensor_and_shapes(self):
+        # writing into the view would broadcast a (8,) value over every row
+        params = M.ModelParams({"Wk0": np.ones((4, 8))})
+        with pytest.raises(M.ModelError, match=r"^tensor 'Wk0' has shape \(4, 8\), cannot assign shape \(8,\)$"):
+            params["Wk0"] = np.zeros(8)
+        assert np.array_equal(params["Wk0"], np.ones((4, 8)))
+
+
 class TestItemEmbedding:
     def test_identity_like_relu(self):
         hy = feature_hypers(D_=3, L=2)

@@ -353,6 +353,43 @@ class TestAdam:
         T.adam_step(params, adam, M.ModelParams({"w": np.ones(2)}), 0.1)
         assert np.array_equal(params["w"], np.zeros(2))
 
+    LAYOUTS = {
+        "features-bias": dict(use_bias=True),
+        "featureless-no-bias": dict(feature_mode=M.FEATURELESS, L=3, use_bias=False),
+        "pinned-P": dict(pin_user_base=True),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matches_per_tensor_reference_bytes(self, layout):
+        hy = M.HyperParams(**{"D": 3, "L": 2, "K": 2, **self.LAYOUTS[layout]})
+        runs = []
+        for step in (T.adam_step, O.adam_step):
+            params = M.init_params(hy, 7, 5, 4, 3, seed=1)
+            adam = T.AdamState.init(params)
+            rng = np.random.default_rng(11)
+            for _ in range(50):
+                grads = params.zeros_like()
+                n = len(grads.flat)
+                # magnitudes over ten decades, so rounding differences would show
+                grads.flat[:] = rng.normal(size=n) * 10.0 ** rng.integers(-6, 4, size=n)
+                step(params, adam, grads, 0.01)
+            runs.append([params.flat.tobytes(), adam.m.flat.tobytes(), adam.v.flat.tobytes()])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("pin,nan_in,named", [
+        (False, ("Wk0", "F"), "F"),
+        (True, ("Wk0", "P"), "Wk0"),  # a frozen P keeps its values, so stays finite
+    ])
+    def test_non_finite_result_names_first_trainable_tensor(self, pin, nan_in, named):
+        hy = M.HyperParams(D=3, L=2, K=1, pin_user_base=pin)
+        for step in (T.adam_step, O.adam_step):
+            params = M.init_params(hy, 7, 5, 4, 3, seed=1)
+            grads = params.zeros_like()
+            for name in nan_in:
+                grads[name][...] = np.nan
+            with pytest.raises(T.DivergenceError, match=f"^non-finite values in {named} after Adam step 1$"):
+                step(params, T.AdamState.init(params), grads, 0.01)
+
 
 class TestTrain:
     def train_config(self, **kw):
