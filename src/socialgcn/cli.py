@@ -298,24 +298,23 @@ def cmd_train(args):
 def _load_model(args, cfg):
     """Load the checkpoint and the dataset, failing closed when they do not fit.
 
-    Every block init_params makes for this dataset must be in the checkpoint
+    Every block the model has for this dataset must be in the checkpoint
     with the same shape; the first that is not is named.
     """
     ckpt = load_checkpoint(args.checkpoint)
     bundle = build_bundle(cfg)
     dims = [0 if f is None else f.dim for f in (bundle.user_features, bundle.item_features)]
-    expected = M.init_params(ckpt.hypers, bundle.num_users, bundle.num_items, *dims)
-    for name, want in expected.items():
+    for name, want in M.param_shapes(ckpt.hypers, bundle.num_users, bundle.num_items, *dims).items():
         if name not in ckpt.params:
             raise D.DataError(f"checkpoint has no block {name!r}")
         got = ckpt.params[name].shape
-        if got != want.shape:
+        if got != want:
             rows = {"P": "users", "Q": "items"}.get(name)
-            if rows and got[1:] == want.shape[1:]:
+            if rows and got[1:] == want[1:]:
                 raise D.DataError(
-                    f"checkpoint block {name!r} has {got[0]} rows, dataset has {want.shape[0]} {rows}"
+                    f"checkpoint block {name!r} has {got[0]} rows, dataset has {want[0]} {rows}"
                 )
-            raise D.DataError(f"checkpoint block {name!r} has shape {got}, dataset needs {want.shape}")
+            raise D.DataError(f"checkpoint block {name!r} has shape {got}, dataset needs {want}")
     return ckpt, bundle
 
 

@@ -2,8 +2,8 @@
 
 File formats are plain TSV (UTF-8). An optional first non-comment line
 ``users=M items=N`` declares dimensions; lines starting with ``#`` are ignored.
-Loaders read a file in a few bulk passes and, when it has a fault, name the
-first offending ``path:line`` as a line-by-line reader would.
+Loaders read a file in a few bulk passes. A line-by-line reader takes the
+files those passes refuse, and names the first faulty ``path:line``.
 """
 from __future__ import annotations
 
@@ -271,13 +271,12 @@ def _read_rows(path):
     return lines, [line for line in map(str.strip, lines) if line and line[0] != "#"]
 
 
-def _first_fault(path, lines, fault, skip=0):
-    """DataError naming the first data line, in file order, for which fault(line) gives a message.
+def _parse_lines(path, lines, parse, skip=0):
+    """parse(line) of every data line in file order, leaving out the first `skip` (a header).
 
-    Runs only after a bulk pass has found a fault, so that the message is
-    the one a line-by-line reader stops at. The first `skip` data lines
-    (a header) are not checked.
+    The first DataError that parse raises is raised again, naming `path:line`.
     """
+    parsed = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -285,39 +284,59 @@ def _first_fault(path, lines, fault, skip=0):
         if skip:
             skip -= 1
             continue
-        message = fault(line)
-        if message is not None:
-            return DataError(f"{path}:{lineno}: {message}")
+        try:
+            parsed.append(parse(line))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    return parsed
 
 
-def _two_fields(rows):
-    """Both tab-separated fields of every row, or None when a row has not exactly two."""
-    if list(map(str.count, rows, itertools.repeat("\t"))).count(1) != len(rows):
+def _c_ids(rows):
+    """The (len(rows), 2) int64 ids that NumPy's C reader parses from "a<TAB>b" rows, or None.
+
+    Rows with a non-ASCII character or U+001F are not given to it: it reads
+    a non-ASCII character after the digits into a wrong value ("5\u01fe" as
+    512) and strips U+001F as whitespace, where int() rejects both. On other
+    rows it reads each id as int() does. None also for no rows (loadtxt warns
+    on empty input), and when it refuses the rows or reads another shape.
+    """
+    text = "\n".join(rows)
+    if not rows or not text.isascii() or "\x1f" in text:
         return None
-    return "\t".join(rows).split("\t") if rows else []
+    try:
+        ids = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return ids if ids.shape == (len(rows), 2) else None
 
 
-def _edge_fault(fields, line_fault, range_fault, header):
-    """Per-line fault of an "a<TAB>b" line: field count, integer ids, line_fault(a, b, line),
-    64-bit ids, range_fault(a, b, header), then negative ids."""
+def _edge_parser(fields, line_fault, range_fault, header):
+    """Reader of one "a<TAB>b" line into (a, b).
 
-    def fault(line):
+    It raises a DataError for the line's first fault, checked in this order:
+    field count, integer ids, line_fault(a, b, line), 64-bit ids,
+    range_fault(a, b, header), then negative ids.
+    """
+
+    def parse(line):
         parts = line.split("\t")
         if len(parts) != 2:
-            return f"expected '{fields}', got {line!r}"
+            raise DataError(f"expected '{fields}', got {line!r}")
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            return f"non-integer id in {line!r}"
+            raise DataError(f"non-integer id in {line!r}") from None
         message = line_fault(a, b, line)
         if message is None and (a not in _INT64 or b not in _INT64):
-            return f"id out of range in {line!r}"
+            message = f"id out of range in {line!r}"
         message = message or range_fault(a, b, header)
         if message is None and (a < 0 or b < 0):
-            return f"negative id in {line!r}"
-        return message
+            message = f"negative id in {line!r}"
+        if message is not None:
+            raise DataError(message)
+        return a, b
 
-    return fault
+    return parse
 
 
 def _outside(ids, count):
@@ -329,8 +348,9 @@ def _load_edges(path, kind, fields, bad_rows, line_fault, range_fault):
     """The header and the (n, 2) int64 ids of an "a<TAB>b" edge file.
 
     `bad_rows(ids, header)` flags the rows that `line_fault(a, b, line)`,
-    `range_fault(a, b, header)` or a negative id make faulty; when a row is
-    flagged or any line is malformed, the first faulty line is reported.
+    `range_fault(a, b, header)` or a negative id make faulty. The line
+    reader takes the file when the C reader refuses it or a row is flagged,
+    and reports the first faulty line.
     """
     lines, rows = _read_rows(path)
     header = _parse_header(rows[0]) if rows else None
@@ -338,16 +358,11 @@ def _load_edges(path, kind, fields, bad_rows, line_fault, range_fault):
         del rows[0]
     elif not rows:
         raise DataError(f"{path}: empty {kind} file")
-    tokens = _two_fields(rows)
-    ids = None
-    if tokens is not None:
-        try:
-            ids = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens)).reshape(-1, 2)
-        except (ValueError, OverflowError):  # a non-integer id, or one beyond int64
-            pass
     skip, header = header is not None, header or {}
+    ids = _c_ids(rows)
     if ids is None or bad_rows(ids, header).any():
-        raise _first_fault(path, lines, _edge_fault(fields, line_fault, range_fault, header), skip=skip)
+        parsed = _parse_lines(path, lines, _edge_parser(fields, line_fault, range_fault, header), skip)
+        ids = np.array(parsed, dtype=np.int64).reshape(-1, 2)
     return header, ids
 
 
@@ -392,34 +407,41 @@ def load_social(path) -> SocialGraph:
     return SocialGraph.from_arrays(ids[:, 0], ids[:, 1], header.get("users"))
 
 
-def _feature_fault():
-    """Per-line fault of an "id<TAB>values" line, given the lines before it."""
+def _feature_parser():
+    """Reader of one "id<TAB>values" line, given the lines before it, raising a DataError for its fault."""
     dim, seen = None, set()
 
-    def fault(line):
+    def parse(line):
         nonlocal dim
         parts = line.split("\t")
         if len(parts) != 2:
-            return f"expected 'id<TAB>values', got {line!r}"
+            raise DataError(f"expected 'id<TAB>values', got {line!r}")
         try:
             ent = int(parts[0])
         except ValueError:
-            return f"non-integer id {parts[0]!r}"
+            raise DataError(f"non-integer id {parts[0]!r}") from None
         try:
             vec = [float(v) for v in parts[1].split(",")]
         except ValueError:
-            return "malformed feature values"
+            raise DataError("malformed feature values") from None
         if not all(map(math.isfinite, vec)):
-            return f"non-finite feature value for entity {ent}"
+            raise DataError(f"non-finite feature value for entity {ent}")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
-            return f"dim {len(vec)} != {dim} for entity {ent}"
+            raise DataError(f"dim {len(vec)} != {dim} for entity {ent}")
         if ent in seen:
-            return f"duplicate entity {ent}"
+            raise DataError(f"duplicate entity {ent}")
         seen.add(ent)
 
-    return fault
+    return parse
+
+
+def _two_fields(rows):
+    """Both tab-separated fields of every row, or None when a row has not exactly two."""
+    if list(map(str.count, rows, itertools.repeat("\t"))).count(1) != len(rows):
+        return None
+    return "\t".join(rows).split("\t") if rows else []
 
 
 def load_features(path, expected_count) -> FeatureTable:
@@ -440,7 +462,7 @@ def load_features(path, expected_count) -> FeatureTable:
         except ValueError:
             pass
     if vectors is None or not np.isfinite(vectors).all() or len(set(ids)) != len(ids):
-        raise _first_fault(path, lines, _feature_fault())
+        _parse_lines(path, lines, _feature_parser())  # raises: the bulk pass refuses only faulty files
     row_of = dict(zip(ids, range(len(ids))))
     for ent in range(expected_count):
         if ent not in row_of:

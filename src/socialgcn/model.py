@@ -8,6 +8,7 @@ fixed to 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,36 +119,42 @@ def layer_bias_name(k):
     return f"bk{k}"
 
 
+def param_shapes(hypers, num_users, num_items, user_dim=0, item_dim=0):
+    """Name -> shape of every tensor of the active mode, in layout order."""
+    D, L = hypers.D, hypers.L
+    shapes = {"P": (num_users, L), "Q": (num_items, L)}
+    if hypers.with_features:
+        shapes["F"] = (D, L + item_dim)
+        if hypers.use_bias:
+            shapes["bF"] = (D,)
+        shapes["W0"] = (D, user_dim + L)
+        if hypers.use_bias:
+            shapes["b0"] = (D,)
+    for k in range(hypers.K):
+        shapes[layer_weight_name(k)] = (D, 2 * D)
+        if hypers.use_bias:
+            shapes[layer_bias_name(k)] = (D,)
+    return shapes
+
+
 def init_params(hypers, num_users, num_items, user_dim=0, item_dim=0, seed=0):
-    """Initialize all tensors for the active mode.
+    """Initialize all tensors for the active mode, drawing in layout order.
 
     Free vectors P, Q start uniform in (-0.01, 0.01); transforms use a
     symmetric fan-scaled uniform range; biases start at zero.
     """
     rng = np.random.default_rng(seed)
     arrays = {}
-    arrays["P"] = rng.uniform(-0.01, 0.01, size=(num_users, hypers.L))
-    arrays["Q"] = rng.uniform(-0.01, 0.01, size=(num_items, hypers.L))
-
-    def glorot(rows, cols):
-        lim = math.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-lim, lim, size=(rows, cols))
-
-    if hypers.with_features:
-        arrays["F"] = glorot(hypers.D, hypers.L + item_dim)
-        if hypers.use_bias:
-            arrays["bF"] = np.zeros(hypers.D)
-        arrays["W0"] = glorot(hypers.D, user_dim + hypers.L)
-        if hypers.use_bias:
-            arrays["b0"] = np.zeros(hypers.D)
-    for k in range(hypers.K):
-        arrays[layer_weight_name(k)] = glorot(hypers.D, 2 * hypers.D)
-        if hypers.use_bias:
-            arrays[layer_bias_name(k)] = np.zeros(hypers.D)
+    for name, shape in param_shapes(hypers, num_users, num_items, user_dim, item_dim).items():
+        if len(shape) == 1:  # a bias
+            arrays[name] = np.zeros(shape)
+        else:
+            lim = 0.01 if name in ("P", "Q") else math.sqrt(6.0 / sum(shape))
+            arrays[name] = rng.uniform(-lim, lim, size=shape)
 
     frozen = set()
     if hypers.pin_user_base:
-        arrays["P"] = np.zeros_like(arrays["P"])
+        arrays["P"] = np.zeros_like(arrays["P"])  # after its draw, so the other tensors' draws stay put
         frozen.add("P")
     return ModelParams(arrays, frozen)
 
@@ -183,15 +190,26 @@ def history_mean_matrix(train):
 
 
 class Graph:
-    """A dataset's sparse operators, built once and shared by forward and backward."""
+    """A dataset's sparse operators, built once and shared by forward and backward.
+
+    The follow adjacency and its transpose are built on first use, which
+    only the average aggregator makes.
+    """
 
     def __init__(self, bundle):
         if bundle.social is None:
             raise ModelError("bundle has no social graph attached")
-        self.mean_adj = mean_adjacency(bundle.social)
-        self.mean_adj_t = self.mean_adj.T.tocsr()
+        self.social = bundle.social
         self.hist = history_mean_matrix(bundle.train)
         self.hist_t = self.hist.T.tocsr()
+
+    @functools.cached_property
+    def mean_adj(self):
+        return mean_adjacency(self.social)
+
+    @functools.cached_property
+    def mean_adj_t(self):
+        return self.mean_adj.T.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -220,31 +238,33 @@ class DiffusionState:
 def aggregate_all(layer, social, aggregator=AGG_AVERAGE, mean_adj=None):
     """Pool every user's followees' vectors; an empty ego net gives zeros.
 
-    Returns (aggregate, winners). `mean_adj` is the follow adjacency of
-    `mean_adjacency`; its CSR rows also list each user's followees for the
-    max aggregator. The max aggregator breaks a tie for a column's maximum
-    towards the lowest followee id, as argmax does.
+    Returns (aggregate, winners). `mean_adj`, the follow adjacency of
+    `mean_adjacency`, serves the average aggregator; the max aggregator
+    reads the followee rows of `social`. It picks a column's winner as argmax
+    does: the first NaN, or else the lowest followee id among the tied maxima.
     """
-    A = mean_adjacency(social) if mean_adj is None else mean_adj
     if aggregator == AGG_AVERAGE:
-        return A @ layer, None
+        return (mean_adjacency(social) if mean_adj is None else mean_adj) @ layer, None
     out = np.zeros_like(layer)
     winners = np.full(layer.shape, -1)
-    degree = np.diff(A.indptr)
+    indptr, indices = social.indptr, social.indices
+    degree = np.diff(indptr)
     rows = np.flatnonzero(degree)
     if len(rows) == 0:
         return out, winners
-    # the non-empty rows' followee lists are contiguous in A.indices, so
+    # the non-empty rows' followee lists are contiguous in indices, so
     # each reduceat segment runs from its row's start to the next one's
-    starts = A.indptr[rows]
-    vals = layer[A.indices]
+    starts = indptr[rows]
+    vals = layer[indices]
     seg_max = np.maximum.reduceat(vals, starts, axis=0)
-    # first position not below the maximum: argmax's winner (or, when the
-    # maximum is NaN, the segment's first row; the outputs are NaN either way)
-    below = vals < np.repeat(seg_max, degree[rows], axis=0)
+    # first position not below the maximum: argmax's winner
+    top = np.repeat(seg_max, degree[rows], axis=0)
+    below = vals < top
+    if np.isnan(seg_max).any():
+        below |= np.isnan(top) & ~np.isnan(vals)  # below a NaN maximum: every number
     position = np.where(below, len(vals), np.arange(len(vals))[:, None])
     first = np.minimum.reduceat(position, starts, axis=0)
-    winners[rows] = A.indices[first]
+    winners[rows] = indices[first]
     # gathered rather than taken from seg_max, which may hold the other zero sign
     out[rows] = layer[winners[rows], np.arange(layer.shape[1])]
     return out, winners
@@ -303,6 +323,7 @@ def forward_all(params, hypers, bundle, graph=None):
     graph = Graph(bundle) if graph is None else graph
     V = all_item_embeddings(params, hypers, bundle.item_features)
     h0 = all_user_base_embeddings(params, hypers, bundle.user_features)
-    state = diffuse(params, hypers, bundle.social, h0, graph.mean_adj)
+    mean_adj = graph.mean_adj if hypers.aggregator == AGG_AVERAGE else None
+    state = diffuse(params, hypers, bundle.social, h0, mean_adj)
     U = state.final + graph.hist @ V
     return U, V, state

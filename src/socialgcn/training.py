@@ -197,7 +197,7 @@ def _loss_and_gradients(params, hypers, bundle, graph, batch, lambda_reg):
             # in ascending order so the sums match a per-user scatter
             winners = state.winners[k]
             has = winners[:, 0] >= 0
-            np.add.at(gH, (winners[has], np.arange(D)), gAgg[has])
+            np.add.at(gH.reshape(-1), (winners[has] * D + np.arange(D)).ravel(), gAgg[has].ravel())
 
     if hypers.with_features:
         X = bundle.user_features.vectors
@@ -333,10 +333,12 @@ def adam_step(params, adam, grads, lr):
     v[...] = b2 * v + (1.0 - b2) * g * g
     step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + adam.eps)
     np.subtract(params.flat, step, out=params.flat, where=params.trainable_mask())
-    if not params.all_finite():
+    if not (params.all_finite() and np.isfinite(m).all() and np.isfinite(v).all()):
         for name in params.trainable_names():
             if not np.isfinite(params[name]).all():
                 raise DivergenceError(f"non-finite values in {name} after Adam step {t}")
+            if not (np.isfinite(adam.m[name]).all() and np.isfinite(adam.v[name]).all()):
+                raise DivergenceError(f"non-finite Adam moments in {name} after Adam step {t}")
     return params, adam
 
 

@@ -154,6 +154,8 @@ def adam_step(params, adam, grads, lr):
         params[name] = params[name] - lr * mhat / (np.sqrt(vhat) + adam.eps)
         if not np.all(np.isfinite(params[name])):
             raise DivergenceError(f"non-finite values in {name} after Adam step {t}")
+        if not (np.all(np.isfinite(adam.m[name])) and np.all(np.isfinite(adam.v[name]))):
+            raise DivergenceError(f"non-finite Adam moments in {name} after Adam step {t}")
     return params, adam
 
 
@@ -249,6 +251,8 @@ def load_interactions(path):
             raise DataError(f"{path}:{lineno}: non-integer id in {line!r}") from None
         if a < 0 or i < 0:
             raise DataError(f"{path}:{lineno}: negative id in {line!r}")
+        if max(a, i) >= 2**63:
+            raise DataError(f"{path}:{lineno}: id out of range in {line!r}")
         for name, value in (("user", a), ("item", i)):
             count = (header or {}).get(f"{name}s")
             if count is not None and value >= count:
@@ -280,6 +284,8 @@ def load_social(path):
             raise DataError(f"{path}:{lineno}: non-integer id in {line!r}") from None
         if a == b:
             raise DataError(f"{path}:{lineno}: self-loop on user {a}")
+        if not (-(2**63) <= min(a, b) and max(a, b) < 2**63):
+            raise DataError(f"{path}:{lineno}: id out of range in {line!r}")
         users = (header or {}).get("users")
         if users is not None and not (0 <= a < users and 0 <= b < users):
             raise DataError(f"{path}:{lineno}: social edge ({a},{b}) out of range [0, {users})")

@@ -419,6 +419,45 @@ class TestBulkLoadersMatchLineByLine:
         with pytest.raises(D.DataError, match=r"big.tsv:3: id out of range in "):
             LOADERS[kind][0](path)
 
+    # rows where NumPy's integer reader and int() part ways, or where only
+    # one of them accepts the id
+    TRAP_ROWS = [
+        "5\u01fe\t1",  # NumPy reads 512
+        "5\x1f\t1",  # NumPy strips U+001F as whitespace
+        "5\t\x1f1",
+        "\u0663\t1",  # int() reads the Arabic-Indic digit as 3
+        "1_0\t2",  # int() reads 10
+        f"{2**63}\t1",
+        f"1\t{-(2**63) - 1}",
+        "+5\t2",
+        " 5\t2",
+        "5 \t 2",
+        "05\t2",
+    ]
+
+    @pytest.mark.parametrize("header", ["", "users=12 items=12\n"], ids=["no-header", "header"])
+    @pytest.mark.parametrize("row", TRAP_ROWS)
+    @pytest.mark.parametrize("kind", ["interactions", "social"])
+    def test_trap_rows_parse_as_line_by_line(self, tmp_path, kind, row, header):
+        self.check(tmp_path, kind, f"{header}0\t1\n{row}\n2\t3\n")
+
+    NON_ASCII_COMMENTS = "# caf\u00e9 \u2615\nusers=4 items=4\n0\t1\n  # \u01fe\x1f\n2\t3\n"
+
+    @pytest.mark.parametrize("kind", ["interactions", "social"])
+    def test_non_ascii_comments_parse_as_line_by_line(self, tmp_path, kind):
+        assert not isinstance(self.check(tmp_path, kind, self.NON_ASCII_COMMENTS), str)
+
+    @pytest.mark.parametrize("kind", ["interactions", "social"])
+    def test_plain_file_takes_the_c_reader(self, tmp_path, kind, monkeypatch):
+        path = write(tmp_path, "plain.tsv", self.NON_ASCII_COMMENTS)
+        expected = LOADERS[kind][1](path)
+
+        def refuse(*args):
+            raise AssertionError("line reader used on a plain file")
+
+        monkeypatch.setattr(D, "_parse_lines", refuse)
+        assert LOADERS[kind][0](path) == expected
+
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_undecodable_file_is_data_error(self, tmp_path, kind):
         path = tmp_path / "bad.tsv"

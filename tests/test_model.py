@@ -61,6 +61,16 @@ class TestModelParams:
             params["Wk0"] = np.zeros(8)
         assert np.array_equal(params["Wk0"], np.ones((4, 8)))
 
+    @pytest.mark.parametrize("hypers", [
+        feature_hypers(K=2),
+        featureless_hypers(K=2, use_bias=False),
+        feature_hypers(K=2, pin_user_base=True),
+    ], ids=["features", "featureless", "pin_user_base"])
+    def test_param_shapes_are_init_params_layout(self, hypers):
+        params = M.init_params(hypers, 7, 5, 4, 3, seed=1)
+        shapes = M.param_shapes(hypers, 7, 5, 4, 3)
+        assert list(shapes.items()) == [(name, params[name].shape) for name in params.names()]
+
 
 class TestItemEmbedding:
     def test_identity_like_relu(self):
@@ -150,6 +160,8 @@ class TestAggregation:
                 layer = M.relu(layer)
             elif case % 3 == 2:
                 layer = rng.normal(size=(n, d))
+            if case % 4 == 3:  # argmax's winner for a column holding NaN is its first NaN
+                layer[rng.random((n, d)) < 0.3] = np.nan
             out, winners = M.aggregate_all(layer, social, M.AGG_MAX)
             want_out, want_winners = O.aggregate_max(layer, social)
             assert out.tobytes() == want_out.tobytes()

@@ -391,6 +391,19 @@ class TestAdam:
                 step(params, T.AdamState.init(params), grads, 0.01)
 
 
+    @pytest.mark.parametrize("step", [T.adam_step, O.adam_step], ids=["flat", "per-tensor"])
+    def test_moment_overflow_names_first_trainable_tensor(self, step):
+        # (1 - b2) * g * g overflows v to inf for g = 1e200; the step is then 0
+        # and w stays finite, so only the moment check sees it. The frozen u
+        # overflows first in layout order but does not train.
+        params = M.ModelParams({"u": np.zeros(2), "w": np.array([1.0, 2.0]), "x": np.zeros(1)}, frozen={"u"})
+        grads = M.ModelParams({"u": np.array([1e200, 0.0]), "w": np.array([1e200, 1e-3]), "x": [1e200]})
+        with pytest.raises(T.DivergenceError, match=r"^non-finite Adam moments in w after Adam step 1$"):
+            with np.errstate(over="ignore"):  # as train runs it
+                step(params, T.AdamState.init(params), grads, 0.01)
+        assert np.isfinite(params.flat).all()
+
+
 class TestTrain:
     def train_config(self, **kw):
         defaults = dict(max_epochs=5, batch_size=128, seed=0, val_negatives=30,
