@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -53,7 +54,21 @@ _RANGES = {
     "test_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "validation_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "seed": (lambda v: v >= 0, ">= 0"),
+    "synth_users": (lambda v: v >= 1, ">= 1"),
+    "synth_items": (lambda v: v >= 1, ">= 1"),
+    "synth_dim_user": (lambda v: v >= 1, ">= 1"),
+    "synth_dim_item": (lambda v: v >= 1, ">= 1"),
+    "synth_homophily": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "synth_density": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "synth_clusters": (lambda v: v >= 1, ">= 1"),
 }
+
+
+def _check_range(key, value, name):
+    """Raise a ConfigError naming `name` unless `value` is in the range _RANGES gives `key`."""
+    valid, bound = _RANGES[key]
+    if not valid(value):
+        raise ConfigError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass
@@ -119,9 +134,8 @@ class RunConfig:
                 raise ConfigError("feature mode requires user_features and item_features files")
         if self.aggregator not in (M.AGG_AVERAGE, M.AGG_MAX):
             raise ConfigError(f"aggregator must be 'average' or 'max', got {self.aggregator!r}")
-        for name, (valid, bound) in _RANGES.items():
-            if not valid(getattr(self, name)):
-                raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)!r}")
+        for name in _RANGES:
+            _check_range(name, getattr(self, name), name)
         if not self.n or any(n < 1 for n in self.n):
             raise ConfigError(f"n must list cutoffs >= 1, got {self.n}")
         for name in self.variants:
@@ -352,6 +366,8 @@ def cmd_evaluate(args):
 
 
 def cmd_predict(args):
+    if args.top_n < 0:
+        raise ConfigError(f"--top-n must be >= 0, got {args.top_n}")
     cfg = _load_config(args)
     cfg.validate()
     ckpt, bundle = _load_model(args, cfg)
@@ -372,6 +388,9 @@ def cmd_predict(args):
 
 
 def cmd_synth(args):
+    for flag in ("users", "items", "dim_user", "dim_item", "homophily", "density", "clusters", "seed"):
+        key = flag if flag == "seed" else f"synth_{flag}"
+        _check_range(key, getattr(args, flag), "--" + flag.replace("_", "-"))
     spec = D.SyntheticSpec(
         users=args.users,
         items=args.items,
@@ -447,7 +466,9 @@ def _add_common(p, with_eval=False):
         p.add_argument("--allow-mismatch", action="store_true")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="socialgcn",
         description="Social recommendation with graph-convolutional preference diffusion",
@@ -456,19 +477,16 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     _add_common(p)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint with HR@N / NDCG@N")
     _add_common(p, with_eval=True)
     p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="print top-N recommendations for one user")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--user", type=int, required=True)
     p.add_argument("--top-n", dest="top_n", type=int, default=10)
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
     p.add_argument("--users", type=int, default=100)
@@ -480,20 +498,19 @@ def build_parser():
     p.add_argument("--clusters", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ablate", help="train and compare ablation variants")
     _add_common(p, with_eval=True)
-    p.set_defaults(func=cmd_ablate)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so that a cmd_* function replaced after the
+        # parser was built is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

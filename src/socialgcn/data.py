@@ -2,8 +2,9 @@
 
 File formats are plain TSV (UTF-8). An optional first non-comment line
 ``users=M items=N`` declares dimensions; lines starting with ``#`` are ignored.
-Loaders read a file in a few bulk passes. A line-by-line reader takes the
-files those passes refuse, and names the first faulty ``path:line``.
+Loaders give a file's data lines to NumPy's C reader, guarded so that it
+reads ids and values as int() and float() do. A line-by-line reader takes
+the files it refuses, and names the first faulty ``path:line``.
 """
 from __future__ import annotations
 
@@ -260,24 +261,67 @@ class DatasetBundle:
 
 _INT64 = range(-(2**63), 2**63)
 
+# The bytes of a plain file: printable ASCII but '#', TAB and LF. NumPy's C
+# reader takes a plain file's lines as they are, with the strip pass's
+# result: it skips an empty line, reads spaces around a field as int() and
+# float() do, and refuses a line of spaces or one with a TAB at either end
+# (the stripped lines are tried next).
+_PLAIN = (bytes(range(0x20, 0x7F)) + b"\t\n").replace(b"#", b"")
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b"\t,")
 
-def _read_rows(path):
-    """All lines of `path`, and the stripped data lines: neither blank nor '#' comments."""
+
+def _data_lines(text):
+    """The stripped data lines of `text`: neither blank nor '#' comments."""
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+
+
+def _read_text(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return lines, [line for line in map(str.strip, lines) if line and line[0] != "#"]
 
 
-def _parse_lines(path, lines, parse, skip=0):
-    """parse(line) of every data line in file order, leaving out the first `skip` (a header).
+def _c_bodies(text):
+    """The data rows of `text` for NumPy's C reader, joined by LF: up to two tries, made lazily.
+
+    A plain file's first try is its text without its final LFs, so that its
+    last row is not empty; it skips the strip pass. The next try is the data
+    lines, unless one holds a character that is not ASCII, or U+001F. The C
+    reader reads a non-ASCII character after the digits into a wrong value
+    ("5\u01fe" as 512) and strips U+001F as whitespace, where int() and
+    float() reject both.
+    """
+    if not text.encode().translate(None, _PLAIN):
+        yield text.rstrip("\n")
+    body = "\n".join(_data_lines(text))
+    if body.isascii() and "\x1f" not in body:
+        yield body
+
+
+def _c_read(body, dtype, delimiter):
+    """One `dtype` record per non-empty line of `body`, as NumPy's C reader parses it, or None.
+
+    None when the reader refuses a line, and for an empty body (loadtxt
+    warns when it finds no data). On the rows _c_bodies gives it, the reader
+    reads each integer as int() does and each float as float() does.
+    """
+    if not body:
+        return None
+    try:
+        return np.loadtxt(body.split("\n"), dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _parse_lines(path, text, parse, skip=0):
+    """parse(line) of every data line of `text` in file order, leaving out the first `skip` (a header).
 
     The first DataError that parse raises is raised again, naming `path:line`.
     """
     parsed = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -289,25 +333,6 @@ def _parse_lines(path, lines, parse, skip=0):
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     return parsed
-
-
-def _c_ids(rows):
-    """The (len(rows), 2) int64 ids that NumPy's C reader parses from "a<TAB>b" rows, or None.
-
-    Rows with a non-ASCII character or U+001F are not given to it: it reads
-    a non-ASCII character after the digits into a wrong value ("5\u01fe" as
-    512) and strips U+001F as whitespace, where int() rejects both. On other
-    rows it reads each id as int() does. None also for no rows (loadtxt warns
-    on empty input), and when it refuses the rows or reads another shape.
-    """
-    text = "\n".join(rows)
-    if not rows or not text.isascii() or "\x1f" in text:
-        return None
-    try:
-        ids = np.loadtxt(rows, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return ids if ids.shape == (len(rows), 2) else None
 
 
 def _edge_parser(fields, line_fault, range_fault, header):
@@ -352,18 +377,20 @@ def _load_edges(path, kind, fields, bad_rows, line_fault, range_fault):
     reader takes the file when the C reader refuses it or a row is flagged,
     and reports the first faulty line.
     """
-    lines, rows = _read_rows(path)
-    header = _parse_header(rows[0]) if rows else None
-    if header is not None:
-        del rows[0]
-    elif not rows:
+    text = _read_text(path)
+    for body in _c_bodies(text):
+        first, _, rest = body.partition("\n")
+        header = _parse_header(first)
+        records = _c_read(body if header is None else rest, [("ids", np.int64, (2,))], "\t")
+        if records is not None and not bad_rows(records["ids"], header or {}).any():
+            return header or {}, records["ids"]
+    rows = _data_lines(text)
+    if not rows:
         raise DataError(f"{path}: empty {kind} file")
-    skip, header = header is not None, header or {}
-    ids = _c_ids(rows)
-    if ids is None or bad_rows(ids, header).any():
-        parsed = _parse_lines(path, lines, _edge_parser(fields, line_fault, range_fault, header), skip)
-        ids = np.array(parsed, dtype=np.int64).reshape(-1, 2)
-    return header, ids
+    header = _parse_header(rows[0])
+    parse = _edge_parser(fields, line_fault, range_fault, header or {})
+    ids = np.array(_parse_lines(path, text, parse, header is not None), dtype=np.int64).reshape(-1, 2)
+    return header or {}, ids
 
 
 def _interaction_range_fault(a, i, header):
@@ -408,7 +435,10 @@ def load_social(path) -> SocialGraph:
 
 
 def _feature_parser():
-    """Reader of one "id<TAB>values" line, given the lines before it, raising a DataError for its fault."""
+    """Reader of one "id<TAB>values" line into (id, values), given the lines before it.
+
+    It raises a DataError for the line's fault.
+    """
     dim, seen = None, set()
 
     def parse(line):
@@ -433,41 +463,50 @@ def _feature_parser():
         if ent in seen:
             raise DataError(f"duplicate entity {ent}")
         seen.add(ent)
+        return ent, vec
 
     return parse
 
 
-def _two_fields(rows):
-    """Both tab-separated fields of every row, or None when a row has not exactly two."""
-    if list(map(str.count, rows, itertools.repeat("\t"))).count(1) != len(rows):
+def _c_features(body):
+    """The ids and (n, dim) values NumPy's C reader parses from "id<TAB>values" rows, or None.
+
+    The rows go to it with their TAB made a comma, so each row must have one
+    TAB and no comma before it: "1,2<TAB>3" would read as id 1. The reader
+    gives each record dim separators, so the rows' TABs and commas, in order,
+    must be one TAB and dim - 1 commas per record. None also when a value is
+    not finite or an id repeats, which the line reader reports.
+    """
+    dim = body.partition("\n")[0].count(",") + 1
+    records = _c_read(body.replace("\t", ","), [("id", np.int64), ("v", np.float64, (dim,))], ",")
+    if (
+        records is None
+        or body.encode().translate(None, _NOT_SEPARATOR) != (b"\t" + b"," * (dim - 1)) * len(records)
+        or not np.isfinite(records["v"]).all()
+    ):
         return None
-    return "\t".join(rows).split("\t") if rows else []
+    ids = np.sort(records["id"])  # a tenth of np.unique's time at these sizes
+    return None if (ids[1:] == ids[:-1]).any() else (records["id"], records["v"])
 
 
 def load_features(path, expected_count) -> FeatureTable:
     """Load "id<TAB>v1,v2,...,vd" lines covering ids 0..expected_count-1."""
-    lines, rows = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty feature file")
-    tokens = _two_fields(rows)
-    vectors = None
-    if tokens is not None:
-        values = tokens[1::2]
-        dim = values[0].count(",") + 1
-        try:
-            ids = list(map(int, tokens[0::2]))
-            if list(map(str.count, values, itertools.repeat(","))).count(dim - 1) == len(values):
-                flat = ",".join(values).split(",")
-                vectors = np.fromiter(map(float, flat), dtype=np.float64, count=len(flat)).reshape(-1, dim)
-        except ValueError:
-            pass
-    if vectors is None or not np.isfinite(vectors).all() or len(set(ids)) != len(ids):
-        _parse_lines(path, lines, _feature_parser())  # raises: the bulk pass refuses only faulty files
-    row_of = dict(zip(ids, range(len(ids))))
-    for ent in range(expected_count):
-        if ent not in row_of:
-            raise DataError(f"{path}: missing feature vector for entity {ent}")
-    return FeatureTable(dim=dim, vectors=vectors[[row_of[ent] for ent in range(expected_count)]])
+    text = _read_text(path)
+    parsed = next(filter(None, map(_c_features, _c_bodies(text))), None)
+    if parsed is None:
+        entries = _parse_lines(path, text, _feature_parser())
+        if not entries:
+            raise DataError(f"{path}: empty feature file")
+        ids = [ent if 0 <= ent < expected_count else -1 for ent, _ in entries]  # -1 fits where 2**63 does not
+        parsed = np.array(ids, dtype=np.int64), np.array([vec for _, vec in entries])
+    ids, vectors = parsed
+    row_of = np.full(expected_count, -1)
+    inside = (ids >= 0) & (ids < expected_count)
+    row_of[ids[inside]] = np.flatnonzero(inside)
+    missing = np.flatnonzero(row_of < 0)
+    if len(missing):
+        raise DataError(f"{path}: missing feature vector for entity {missing[0]}")
+    return FeatureTable(dim=vectors.shape[1], vectors=vectors[row_of])
 
 
 def _fmt(x):

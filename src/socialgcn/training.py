@@ -361,6 +361,7 @@ def train(bundle, hypers, config):
     d2 = bundle.item_features.dim if bundle.item_features is not None else 0
     params = M.init_params(hypers, bundle.num_users, bundle.num_items, d1, d2, seed=config.seed)
     graph = M.Graph(bundle)
+    rated = evaluation.rated_union(bundle)
     adam = AdamState.init(params)
 
     has_val = bundle.validation.num_edges > 0
@@ -399,7 +400,9 @@ def train(bundle, hypers, config):
         epoch_loss = float(np.mean(losses)) if losses else 0.0
 
         if has_val:
-            rep = evaluation.evaluate(params, hypers, bundle, val_cfg, split="validation", graph=graph)
+            rep = evaluation.evaluate(
+                params, hypers, bundle, val_cfg, split="validation", graph=graph, rated=rated
+            )
             val_hr = rep.mean("hr", 10)
             val_ndcg = rep.mean("ndcg", 10)
         else:

@@ -115,6 +115,13 @@ class TestConfig:
             ("repetitions", "0"),
             ("test_fraction", "1.5"),
             ("validation_fraction", "0"),
+            ("synth_users", "0"),
+            ("synth_items", "0"),
+            ("synth_dim_user", "-1"),
+            ("synth_dim_item", "0"),
+            ("synth_clusters", "0"),
+            ("synth_density", "1"),
+            ("synth_homophily", "1.5"),
         ],
     )
     def test_out_of_range_number_exits_2_naming_key(self, tmp_path, capsys, key, value):
@@ -499,6 +506,15 @@ class TestPredictCommand:
         printed = [l.split("\t")[1] for l in out.splitlines()]
         assert len(set(printed)) < len(printed) / 2  # the order rests on ties
 
+    def test_negative_top_n_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cli.main(["train", "--config", cfg])
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", cfg, "--checkpoint", ckpt,
+                         "--user", "0", "--top-n", "-3"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: --top-n must be >= 0, got -3\n")
+
     def test_unknown_user(self, tmp_path):
         cfg = write_config(tmp_path)
         cli.main(["train", "--config", cfg])
@@ -531,6 +547,45 @@ class TestSynthCommand:
         for name in ("interactions.tsv", "social.tsv", "user_features.tsv",
                      "item_features.tsv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--users", "0"),
+            ("--items", "0"),
+            ("--dim-user", "-1"),
+            ("--dim-item", "0"),
+            ("--clusters", "0"),
+            ("--density", "0"),
+            ("--density", "1"),
+            ("--homophily", "-0.5"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "synth"
+        assert cli.main(["synth", flag, value, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {flag} must be ")
+        assert not out.exists()
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        seen = []
+        for command in ("predict", "evaluate"):
+            monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(vars(args)) or 0)
+        common = {"config": None, "seed": None, "k": None, "dim": None, "mode": None, "output_dir": None}
+        assert cli.main(["predict", "--checkpoint", "a.bin", "--user", "3", "--k", "1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--checkpoint", "a.bin", "--user", "x"])
+        assert exc.value.code == 2 and "--user: invalid int value: 'x'" in capsys.readouterr().err
+        assert cli.main(["evaluate", "--checkpoint", "b.bin", "--n", "5"]) == 0
+        assert seen == [
+            {**common, "command": "predict", "k": 1, "checkpoint": "a.bin", "user": 3, "top_n": 10},
+            {**common, "command": "evaluate", "checkpoint": "b.bin", "n": "5", "negatives": None,
+             "repetitions": None, "allow_mismatch": False},
+        ]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestAblateCommand:

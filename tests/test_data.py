@@ -441,22 +441,65 @@ class TestBulkLoadersMatchLineByLine:
     def test_trap_rows_parse_as_line_by_line(self, tmp_path, kind, row, header):
         self.check(tmp_path, kind, f"{header}0\t1\n{row}\n2\t3\n")
 
+    # feature rows where NumPy's readers and int() or float() part ways,
+    # or where only one of them accepts the row
+    FEATURE_TRAP_ROWS = [
+        "1\t1.5\x1f,2",  # NumPy strips U+001F as whitespace
+        "1\t\u0661.\u0665,2",  # float() reads the Arabic-Indic digits as 1.5
+        "1\t1_0.5,2",  # float() reads 10.5
+        "1\t 1.5 ,2",
+        "1\t+.5,5.",
+        "1\t-0.0,2",
+        "1\t1e400,2",
+        "1\tnan,2",
+        "1\t0x1p3,2",
+        "1,2\t3",  # with its TAB made a comma, NumPy reads id 1 and values [2, 3]
+        "5\u01fe\t1,2",  # NumPy reads 512
+        f"1\t1,2\n{2**63}\t1,2",  # an entity past int64, which no count reaches
+    ]
+
+    @pytest.mark.parametrize("row", FEATURE_TRAP_ROWS)
+    def test_feature_trap_rows_parse_as_line_by_line(self, tmp_path, row):
+        self.check(tmp_path, "features", f"0\t0.5,1.5\n{row}\n2\t2.5,3.5\n", 3)
+
     NON_ASCII_COMMENTS = "# caf\u00e9 \u2615\nusers=4 items=4\n0\t1\n  # \u01fe\x1f\n2\t3\n"
 
     @pytest.mark.parametrize("kind", ["interactions", "social"])
     def test_non_ascii_comments_parse_as_line_by_line(self, tmp_path, kind):
         assert not isinstance(self.check(tmp_path, kind, self.NON_ASCII_COMMENTS), str)
 
-    @pytest.mark.parametrize("kind", ["interactions", "social"])
+    # files the C reader takes: after the strip pass (non-ASCII comments, or
+    # a plain file with a line of spaces or a TAB at a line's end), and plain
+    # files with spaces and empty lines, which skip it
+    C_READER_FILES = {
+        "interactions": (
+            [NON_ASCII_COMMENTS, "users=4 items=4\n  \n\t0\t1\n2\t3\t\n"],
+            "users=4 items=4\n0\t1 \n\n 2\t3\n",
+        ),
+        "social": ([NON_ASCII_COMMENTS, "users=4\n\t0\t1\n   \n2\t3\n"], "users=4\n0\t1\n\n\n 2\t3 \n"),
+        "features": (
+            ["# caf\u00e9\n1\t1.5,-2\n  # \u01fe\x1f\n0\t0.25,1e-3\n", "\t1\t1.5,-2\n  \n0\t0.25,1e-3\t\n"],
+            "1\t 1.5,-2\n\n0 \t0.25,1e-3 \n\n",
+        ),
+    }
+
+    def check_c_reader(self, tmp_path, monkeypatch, kind, texts, *unneeded):
+        """Load each of `texts` with the passes named in `unneeded` made to fail; compare with the oracle."""
+        for name in unneeded:
+            monkeypatch.setattr(D, name, lambda *_, name=name: pytest.fail(f"{name} ran on a C reader file"))
+        args = [2] if kind == "features" else []
+        for k, text in enumerate(texts):
+            path = write(tmp_path, f"{k}.tsv", text)
+            assert LOADERS[kind][0](path, *args) == LOADERS[kind][1](path, *args)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_plain_file_takes_the_c_reader(self, tmp_path, kind, monkeypatch):
-        path = write(tmp_path, "plain.tsv", self.NON_ASCII_COMMENTS)
-        expected = LOADERS[kind][1](path)
+        self.check_c_reader(tmp_path, monkeypatch, kind, self.C_READER_FILES[kind][0], "_parse_lines")
 
-        def refuse(*args):
-            raise AssertionError("line reader used on a plain file")
-
-        monkeypatch.setattr(D, "_parse_lines", refuse)
-        assert LOADERS[kind][0](path) == expected
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_plain_file_skips_the_strip_pass(self, tmp_path, kind, monkeypatch):
+        texts = [self.C_READER_FILES[kind][1]]
+        self.check_c_reader(tmp_path, monkeypatch, kind, texts, "_parse_lines", "_data_lines")
 
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_undecodable_file_is_data_error(self, tmp_path, kind):

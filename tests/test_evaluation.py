@@ -144,6 +144,21 @@ class TestBuildTasks:
         listed = lambda tasks: [(t.user, t.candidates.tolist()) for t in tasks]
         assert listed(t1) == listed(t2)
 
+    def test_rated_union_built_once_per_evaluate_and_train_run(self, monkeypatch):
+        b = self.bundle()
+        built = []
+        rated_union = E.rated_union
+        monkeypatch.setattr(E, "rated_union", lambda bundle: built.append(rated_union(bundle)) or built[-1])
+        hy = M.HyperParams(D=3, L=2, K=1)
+        params, log = T.train(b, hy, T.TrainConfig(max_epochs=3, batch_size=64, seed=0, val_negatives=10))
+        assert len(log) == 3 and len(built) == 1
+        E.evaluate(params, hy, b, E.EvalConfig(n_values=[5], num_negatives=10, repetitions=3))
+        assert len(built) == 2
+        listed = lambda tasks: [(t.user, t.positives.tobytes(), t.candidates.tobytes()) for t in tasks]
+        for split in ("validation", "test"):
+            given = E.build_tasks(b, 20, 9, split, rated=built[0])
+            assert listed(given) == listed(E.build_tasks(b, 20, 9, split))
+
 
 SPLITS = ("train", "validation", "test")
 
