@@ -132,6 +132,13 @@ class RunConfig:
                 raise ConfigError("social file required (or set synthetic=true)")
             if self.mode == M.FEATURES and (not self.user_features or not self.item_features):
                 raise ConfigError("feature mode requires user_features and item_features files")
+        if self.filter and self.synthetic:
+            raise ConfigError("filter=true does not apply to synthetic=true data")
+        if self.filter and self.mode == M.FEATURES:
+            raise ConfigError(
+                "filter=true with mode=features is unsupported: provide features "
+                "for the already-filtered id space"
+            )
         if self.aggregator not in (M.AGG_AVERAGE, M.AGG_MAX):
             raise ConfigError(f"aggregator must be 'average' or 'max', got {self.aggregator!r}")
         for name in _RANGES:
@@ -174,17 +181,6 @@ class RunConfig:
             repetitions=self.repetitions,
             seed=self.seed,
         )
-
-    def to_text(self):
-        lines = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, list):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -253,20 +249,14 @@ def build_bundle(cfg):
             n = max(social.num_users, inter.num_users)
             inter = D.InteractionMatrix.from_arrays(*inter.edge_arrays(), n, inter.num_items)
             social = D.SocialGraph.from_arrays(*social.edge_arrays(), n)
-        user_map = item_map = None
         if cfg.filter:
-            inter, social, user_map, item_map = D.preprocess_filter(
+            inter, social, _, _ = D.preprocess_filter(
                 inter, social, cfg.min_ratings, cfg.min_links, cfg.min_item_degree
             )
         uf = itf = None
         if cfg.mode == M.FEATURES:
-            uf = D.load_features(cfg.user_features, len(user_map) if user_map else inter.num_users)
-            itf = D.load_features(cfg.item_features, len(item_map) if item_map else inter.num_items)
-            if user_map is not None:
-                raise ConfigError(
-                    "filter=true with feature files is unsupported: provide features "
-                    "for the already-filtered id space"
-                )
+            uf = D.load_features(cfg.user_features, inter.num_users)
+            itf = D.load_features(cfg.item_features, inter.num_items)
     bundle = D.split(inter, D.SplitConfig(cfg.test_fraction, cfg.validation_fraction, cfg.seed))
     return replace(bundle, social=social, user_features=uf, item_features=itf)
 

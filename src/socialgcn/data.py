@@ -8,14 +8,16 @@ the files it refuses, and names the first faulty ``path:line``.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 
 class DataError(Exception):
@@ -82,7 +84,8 @@ class _Table:
     """Rows of ascending, duplicate-free column ids, held as read-only CSR int64 arrays.
 
     Row a is indices[indptr[a]:indptr[a + 1]]; indptr starts at 0 and has
-    one entry more than there are rows.
+    one entry more than there are rows. The operators derived from the
+    arrays are built on first use and kept, as the arrays never change.
     """
 
     def __post_init__(self):
@@ -90,8 +93,24 @@ class _Table:
 
     def __eq__(self, other):
         return type(other) is type(self) and all(
-            np.array_equal(value, getattr(other, name)) for name, value in vars(self).items()
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
+
+    @functools.cached_property
+    def row_mean(self):
+        """CSR matrix whose row a holds 1/n at each of row a's n columns; an empty row stays all zero.
+
+        (row_mean @ X)[a] is the mean of X over row a: the follow mean over
+        S_a of a SocialGraph, the history mean over R_a of an InteractionMatrix.
+        """
+        counts = np.diff(self.indptr)
+        data = np.repeat(1.0 / np.maximum(counts, 1), counts)
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    @functools.cached_property
+    def row_mean_t(self):
+        """The transpose of row_mean, in CSR: the backward of its product."""
+        return self.row_mean.T.tocsr()
 
     @classmethod
     def from_edges(cls, edges, *counts):
@@ -145,6 +164,10 @@ class InteractionMatrix(_Table):
         return cls(num_users, num_items, *_csr(users, items, num_users, num_items))
 
     @property
+    def shape(self):
+        return self.num_users, self.num_items
+
+    @property
     def positives_by_user(self):
         return Rows(self)
 
@@ -178,6 +201,10 @@ class SocialGraph(_Table):
                 f"social edge ({followers[k]},{followees[k]}) out of range [0, {num_users})"
             )
         return cls(num_users, *_csr(followers, followees, num_users, num_users))
+
+    @property
+    def shape(self):
+        return self.num_users, self.num_users
 
     @property
     def followees_by_user(self):
@@ -237,6 +264,13 @@ class DatasetBundle:
     @property
     def num_items(self):
         return self.train.num_items
+
+    @functools.cached_property
+    def rated(self):
+        """The items each user rated in any split: (indptr list, item array), row a holding user a's."""
+        tables = [self.train, self.validation, self.test]
+        users, items = (np.concatenate(parts) for parts in zip(*(t.edge_arrays() for t in tables)))
+        return sum(t.indptr for t in tables).tolist(), items[np.argsort(users)]
 
     def fingerprint(self):
         """Content hash over a canonical serialization of the whole bundle."""
@@ -655,7 +689,6 @@ def synthetic_tables(spec):
         if len(same) > 0:
             w[same] += spec.homophily / len(same)
         else:
-            w *= 1.0 / (1.0 - spec.homophily) if spec.homophily < 1.0 else 0.0
             w[np.arange(spec.users) != a] = 1.0 / max(spec.users - 1, 1)
         w[a] = 0.0
         total = w.sum()

@@ -66,22 +66,14 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def rated_union(bundle):
-    """The items each user rated in any split: (indptr list, item array), row a holding user a's."""
-    tables = [bundle.train, bundle.validation, bundle.test]
-    users, items = (np.concatenate(parts) for parts in zip(*(t.edge_arrays() for t in tables)))
-    return sum(t.indptr for t in tables).tolist(), items[np.argsort(users)]
-
-
-def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test", rated=None):
+def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test"):
     """One ranking task per user with at least one positive in `split`, in user order.
 
     Sampled candidates are uniform without replacement over the items the
     user rated in no split; if fewer than num_negatives exist, all are used.
     The Generator draws once per user that needs sampling, in user order.
-    `rated` is the bundle's rated_union, built here when not given.
     """
-    rated_ptr, rated_items = rated_union(bundle) if rated is None else rated
+    rated_ptr, rated_items = bundle.rated
     target = getattr(bundle, split)
     pos_ptr = target.indptr.tolist()
     unrated = np.ones(bundle.num_items, dtype=bool)  # cleared at one user's rated items at a time
@@ -233,26 +225,19 @@ def evaluate_tasks(tasks, scorer, n_values):
     return {key: value / count for key, value in sums.items()}
 
 
-def evaluate(params, hypers, bundle, config, split="test", graph=None, rated=None):
-    """Run the sampled-candidate protocol `repetitions` times and average.
-
-    `graph` is the bundle's model.Graph, as for model.forward_all, and
-    `rated` its rated_union; each is built here when not given.
-    """
+def evaluate(params, hypers, bundle, config, split="test"):
+    """Run the sampled-candidate protocol `repetitions` times and average."""
     target = getattr(bundle, split)
     if target.num_edges == 0:
         raise EvaluationError(f"{split} split is empty")
-    U, V, _ = M.forward_all(params, hypers, bundle, graph)
-    rated = rated_union(bundle) if rated is None else rated
+    U, V, _ = M.forward_all(params, hypers, bundle)
 
     def scorer(task):
         return V.take(task.candidates, axis=0) @ U[task.user]
 
     per_rep = {(m, n): [] for m in ("hr", "ndcg") for n in config.n_values}
     for rep in range(config.repetitions):
-        tasks = build_tasks(
-            bundle, config.num_negatives, repetition_seed=[config.seed, rep], split=split, rated=rated
-        )
+        tasks = build_tasks(bundle, config.num_negatives, repetition_seed=[config.seed, rep], split=split)
         means = evaluate_tasks(tasks, scorer, config.n_values)
         for key, value in means.items():
             per_rep[key].append(value)

@@ -8,12 +8,10 @@ fixed to 0.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 FEATURES = "features"
 FEATURELESS = "featureless"
@@ -164,55 +162,6 @@ def relu(x):
 
 
 # ---------------------------------------------------------------------------
-# sparse operators
-
-
-def _row_mean_matrix(indptr, indices, num_cols):
-    """CSR matrix whose row a holds 1/n at each of the n columns indices[indptr[a]:indptr[a + 1]].
-
-    Each row must be ascending and free of duplicates, as the
-    InteractionMatrix and SocialGraph constructors guarantee; an empty row
-    stays all zero.
-    """
-    counts = np.diff(indptr)
-    data = np.repeat(1.0 / np.maximum(counts, 1), counts)
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(counts), num_cols))
-
-
-def mean_adjacency(social):
-    """Row-normalized follow adjacency: (A h)[a] = mean of h over S_a."""
-    return _row_mean_matrix(social.indptr, social.indices, social.num_users)
-
-
-def history_mean_matrix(train):
-    """Rows: 1/|R_a| over a's training positives (zero row when R_a is empty)."""
-    return _row_mean_matrix(train.indptr, train.indices, train.num_items)
-
-
-class Graph:
-    """A dataset's sparse operators, built once and shared by forward and backward.
-
-    The follow adjacency and its transpose are built on first use, which
-    only the average aggregator makes.
-    """
-
-    def __init__(self, bundle):
-        if bundle.social is None:
-            raise ModelError("bundle has no social graph attached")
-        self.social = bundle.social
-        self.hist = history_mean_matrix(bundle.train)
-        self.hist_t = self.hist.T.tocsr()
-
-    @functools.cached_property
-    def mean_adj(self):
-        return mean_adjacency(self.social)
-
-    @functools.cached_property
-    def mean_adj_t(self):
-        return self.mean_adj.T.tocsr()
-
-
-# ---------------------------------------------------------------------------
 # full-graph forward
 
 
@@ -235,16 +184,16 @@ class DiffusionState:
         return self.layers[-1]
 
 
-def aggregate_all(layer, social, aggregator=AGG_AVERAGE, mean_adj=None):
+def aggregate_all(layer, social, aggregator=AGG_AVERAGE):
     """Pool every user's followees' vectors; an empty ego net gives zeros.
 
-    Returns (aggregate, winners). `mean_adj`, the follow adjacency of
-    `mean_adjacency`, serves the average aggregator; the max aggregator
-    reads the followee rows of `social`. It picks a column's winner as argmax
-    does: the first NaN, or else the lowest followee id among the tied maxima.
+    Returns (aggregate, winners). The average aggregator is `social.row_mean`;
+    the max aggregator reads the followee rows of `social`. It picks a
+    column's winner as argmax does: the first NaN, or else the lowest
+    followee id among the tied maxima.
     """
     if aggregator == AGG_AVERAGE:
-        return (mean_adjacency(social) if mean_adj is None else mean_adj) @ layer, None
+        return social.row_mean @ layer, None
     out = np.zeros_like(layer)
     winners = np.full(layer.shape, -1)
     indptr, indices = social.indptr, social.indices
@@ -270,7 +219,7 @@ def aggregate_all(layer, social, aggregator=AGG_AVERAGE, mean_adj=None):
     return out, winners
 
 
-def diffuse(params, hypers, social, h0, mean_adj=None):
+def diffuse(params, hypers, social, h0):
     """Run the K-layer diffusion recursion from layer-0 embeddings h0."""
     h0 = np.asarray(h0, dtype=np.float64)
     if h0.shape[0] != social.num_users:
@@ -278,7 +227,7 @@ def diffuse(params, hypers, social, h0, mean_adj=None):
     state = DiffusionState([h0], [], [])
     for k in range(hypers.K):
         h = state.layers[k]
-        agg, winners = aggregate_all(h, social, hypers.aggregator, mean_adj)
+        agg, winners = aggregate_all(h, social, hypers.aggregator)
         z = np.concatenate([agg, h], axis=1) @ params[layer_weight_name(k)].T
         if layer_bias_name(k) in params:
             z = z + params[layer_bias_name(k)]
@@ -312,18 +261,16 @@ def all_user_base_embeddings(params, hypers, user_features=None):
     return relu(h)
 
 
-def forward_all(params, hypers, bundle, graph=None):
+def forward_all(params, hypers, bundle):
     """Compute (U, V, diffusion state) for every user and item.
 
     This is the model's only forward pass: training, evaluation and predict
-    all run it. `graph` holds the bundle's sparse operators; pass one Graph
-    to reuse them across calls. The history term always uses training
-    positives only.
+    all run it. The history term always uses training positives only.
     """
-    graph = Graph(bundle) if graph is None else graph
+    if bundle.social is None:
+        raise ModelError("bundle has no social graph attached")
     V = all_item_embeddings(params, hypers, bundle.item_features)
     h0 = all_user_base_embeddings(params, hypers, bundle.user_features)
-    mean_adj = graph.mean_adj if hypers.aggregator == AGG_AVERAGE else None
-    state = diffuse(params, hypers, bundle.social, h0, mean_adj)
-    U = state.final + graph.hist @ V
+    state = diffuse(params, hypers, bundle.social, h0)
+    U = state.final + bundle.train.row_mean @ V
     return U, V, state

@@ -8,6 +8,7 @@ gradient apart from the L2 term on P and Q.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -37,10 +38,12 @@ class TrainConfig:
     val_negatives: int = 200  # candidate negatives for per-epoch validation
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.negatives_per_positive <= 0:
-            raise TrainingError("learning_rate, batch_size, negatives_per_positive must be positive")
-        if self.lambda_reg < 0:
-            raise TrainingError("lambda_reg must be >= 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise TrainingError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not 0.0 <= self.lambda_reg < math.inf:
+            raise TrainingError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg!r}")
+        if self.batch_size <= 0 or self.negatives_per_positive <= 0:
+            raise TrainingError("batch_size, negatives_per_positive must be positive")
         if self.max_epochs < 0 or self.early_stop_patience <= 0:
             raise TrainingError("max_epochs >= 0 and early_stop_patience > 0 required")
         if self.seed < 0:
@@ -130,14 +133,14 @@ def _reg_term(params, lambda_reg):
     return lambda_reg * (float(np.sum(params["P"] ** 2)) + float(np.sum(params["Q"] ** 2)))
 
 
-def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0, graph=None):
+def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0):
     """Mean pairwise loss over the batch plus lambda * (|P|^2 + |Q|^2).
 
     The regularizer is added once per batch, not scaled by batch size; an
     empty batch contributes a vacuous mean of 0. Forward only, for the
     finite-difference check.
     """
-    U, V, _ = M.forward_all(params, hypers, bundle, graph)
+    U, V, _ = M.forward_all(params, hypers, bundle)
     return (_pair_terms(U, V, batch)[0] if batch else 0.0) + _reg_term(params, lambda_reg)
 
 
@@ -145,13 +148,13 @@ def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0, graph=None):
 # manual reverse mode
 
 
-def _loss_and_gradients(params, hypers, bundle, graph, batch, lambda_reg):
+def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
     """(batch_loss, its gradients) from one forward_all; one set of margins serves both.
 
     ReLU'(z) is taken as relu(z) > 0, which equals z > 0 (subgradient 0 at
     the kink), so the pre-activations need not be kept.
     """
-    U, V, state = M.forward_all(params, hypers, bundle, graph)
+    U, V, state = M.forward_all(params, hypers, bundle)
     grads = params.zeros_like()
     D = hypers.D
     num_users, num_items = bundle.num_users, bundle.num_items
@@ -176,8 +179,8 @@ def _loss_and_gradients(params, hypers, bundle, graph, batch, lambda_reg):
         gV = np.zeros((num_items, D))
     loss += _reg_term(params, lambda_reg)
 
-    # U = h^K + hist @ V
-    gV += graph.hist_t @ gU
+    # U = h^K + train.row_mean @ V
+    gV += bundle.train.row_mean_t @ gU
     gH = gU
 
     layers = state.layers
@@ -191,7 +194,7 @@ def _loss_and_gradients(params, hypers, bundle, graph, batch, lambda_reg):
         gAgg = gcat[:, :D]
         gH = gcat[:, D:].copy()
         if hypers.aggregator == M.AGG_AVERAGE:
-            gH += graph.mean_adj_t @ gAgg
+            gH += bundle.social.row_mean_t @ gAgg
         else:
             # each column's gradient goes to the followee that won it, users
             # in ascending order so the sums match a per-user scatter
@@ -220,10 +223,9 @@ def _loss_and_gradients(params, hypers, bundle, graph, batch, lambda_reg):
     return loss, grads
 
 
-def compute_gradients(params, hypers, bundle, batch, lambda_reg=0.0, graph=None):
+def compute_gradients(params, hypers, bundle, batch, lambda_reg=0.0):
     """Exact gradients of batch_loss w.r.t. every model tensor."""
-    graph = M.Graph(bundle) if graph is None else graph
-    _, grads = _loss_and_gradients(params, hypers, bundle, graph, batch, lambda_reg)
+    _, grads = _loss_and_gradients(params, hypers, bundle, batch, lambda_reg)
     if not grads.all_finite():
         raise DivergenceError("non-finite gradient")
     return grads
@@ -263,11 +265,10 @@ def finite_difference_check(
     If the check lands on a ReLU/max kink it retries at a jittered point.
     loss_fn/grad_fn can be injected to self-test the harness.
     """
-    graph = M.Graph(bundle) if (loss_fn is None or grad_fn is None) else None
     if loss_fn is None:
-        loss_fn = lambda p: batch_loss(p, hypers, bundle, batch, lambda_reg, graph)
+        loss_fn = lambda p: batch_loss(p, hypers, bundle, batch, lambda_reg)
     if grad_fn is None:
-        grad_fn = lambda p: compute_gradients(p, hypers, bundle, batch, lambda_reg, graph)
+        grad_fn = lambda p: compute_gradients(p, hypers, bundle, batch, lambda_reg)
     rng = np.random.default_rng(seed)
     work = params.copy()
     report = None
@@ -360,8 +361,6 @@ def train(bundle, hypers, config):
     d1 = bundle.user_features.dim if bundle.user_features is not None else 0
     d2 = bundle.item_features.dim if bundle.item_features is not None else 0
     params = M.init_params(hypers, bundle.num_users, bundle.num_items, d1, d2, seed=config.seed)
-    graph = M.Graph(bundle)
-    rated = evaluation.rated_union(bundle)
     adam = AdamState.init(params)
 
     has_val = bundle.validation.num_edges > 0
@@ -388,9 +387,7 @@ def train(bundle, hypers, config):
             batch = samples[order[start : start + config.batch_size]]
             # overflow here only makes inf or nan, which the finite checks below report
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                loss, grads = _loss_and_gradients(
-                    params, hypers, bundle, graph, batch, config.lambda_reg
-                )
+                loss, grads = _loss_and_gradients(params, hypers, bundle, batch, config.lambda_reg)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}")
                 if not grads.all_finite():
@@ -400,9 +397,7 @@ def train(bundle, hypers, config):
         epoch_loss = float(np.mean(losses)) if losses else 0.0
 
         if has_val:
-            rep = evaluation.evaluate(
-                params, hypers, bundle, val_cfg, split="validation", graph=graph, rated=rated
-            )
+            rep = evaluation.evaluate(params, hypers, bundle, val_cfg, split="validation")
             val_hr = rep.mean("hr", 10)
             val_ndcg = rep.mean("ndcg", 10)
         else:

@@ -178,7 +178,7 @@ def test_degenerate_identities():
     v_ok = M.all_item_embeddings(params, hy) is params["Q"]
     h0_ok = M.all_user_base_embeddings(params, hy) is params["P"]
     U, V, state = M.forward_all(params, hy, bundle)
-    hist = M.history_mean_matrix(bundle.train)
+    hist = bundle.train.row_mean
     k0_ok = np.array_equal(U, params["P"] + hist @ V)
     report(
         "degenerate identities",

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,13 +44,28 @@ def write_config(tmp_path, name="cfg.txt", **overrides):
 
 
 class TestConfig:
-    def test_round_trip_exact(self, tmp_path):
-        path = write_config(tmp_path)
-        cfg = cli.parse_config(path)
-        dumped = tmp_path / "dump.txt"
-        dumped.write_text(cfg.to_text(), encoding="utf-8")
-        cfg2 = cli.parse_config(str(dumped))
-        assert cfg == cfg2
+    def test_reads_every_written_value(self, tmp_path):
+        path = write_config(tmp_path, use_bias="no", learning_rate="0.25", variants="full, k1,")
+        assert cli.parse_config(path) == replace(
+            cli.RunConfig(),
+            synthetic=True,
+            synth_users=30,
+            synth_items=25,
+            dim=4,
+            latent=3,
+            k=1,
+            max_epochs=2,
+            batch_size=64,
+            seed=5,
+            val_negatives=20,
+            eval_negatives=20,
+            repetitions=2,
+            n=[5, 10],
+            output_dir=str(tmp_path / "out"),
+            use_bias=False,
+            learning_rate=0.25,
+            variants=["full", "k1"],
+        )
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -68,6 +84,29 @@ class TestConfig:
         cfg = cli.parse_config(path)
         with pytest.raises(cli.ConfigError, match="social"):
             cfg.validate()
+
+    def test_filter_with_features_exits_2_before_reading_files(self, tmp_path, capsys):
+        files = {name: tmp_path / f"{name}.tsv" for name in ("interactions", "social", "user_features", "item_features")}
+        files["interactions"].write_text("".join(f"{a}\t{i}\n" for a in range(4) for i in range(4)), encoding="utf-8")
+        files["social"].write_text("0\t1\n1\t2\n2\t0\n", encoding="utf-8")  # user 3 has no links
+        for name in ("user_features", "item_features"):
+            files[name].write_text("0\t1.0\n", encoding="utf-8")  # no vector for entity 1
+        cfg = write_config(tmp_path, synthetic="false", filter="true", mode="features", **files)
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: filter=true with mode=features is unsupported")
+        featureless = cli.parse_config(write_config(
+            tmp_path, synthetic="false", filter="true", mode="featureless", latent=4,
+            min_ratings=1, min_links=1, min_item_degree=1, **files,
+        ))
+        featureless.validate()
+        assert cli.build_bundle(featureless).num_users == 3
+
+    def test_filter_with_synthetic_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, filter="true", min_ratings=1000)
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: filter=true does not apply to synthetic=true data\n"
+        assert not os.path.exists(tmp_path / "out")
 
     def test_featureless_requires_matching_dims(self, tmp_path):
         path = write_config(tmp_path, mode="featureless", dim=4, latent=3)

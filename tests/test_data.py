@@ -533,6 +533,20 @@ class TestArrayConstructors:
             for start, stop in itertools.pairwise(indptr.tolist()):
                 assert (np.diff(indices[start:stop]) > 0).all()
 
+    @pytest.mark.parametrize("make", [
+        lambda edges: D.InteractionMatrix.from_edges(edges, 3, 4),
+        lambda edges: D.SocialGraph.from_edges(edges, 3),
+    ], ids=["interactions", "social"])
+    def test_equality_ignores_built_operators(self, make):
+        edges = [(0, 1), (0, 2), (2, 1)]
+        built, fresh = make(edges), make(edges)
+        dense = built.row_mean.toarray()
+        assert np.array_equal(dense[:, :3], [[0, 0.5, 0.5], [0, 0, 0], [0, 1, 0]]) and not dense[:, 3:].any()
+        assert np.array_equal(built.row_mean_t.toarray(), dense.T)
+        assert built == fresh and fresh == built
+        assert built != make([(0, 1), (0, 2), (2, 0)])
+        assert make([(0, 1), (0, 2), (2, 0)]) != built
+
     @settings(max_examples=100, deadline=None)
     @given(
         edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 14)), min_size=1, max_size=60),

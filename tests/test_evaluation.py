@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -144,20 +145,33 @@ class TestBuildTasks:
         listed = lambda tasks: [(t.user, t.candidates.tolist()) for t in tasks]
         assert listed(t1) == listed(t2)
 
-    def test_rated_union_built_once_per_evaluate_and_train_run(self, monkeypatch):
+    def test_train_then_evaluate_build_each_operator_once(self, monkeypatch):
         b = self.bundle()
-        built = []
-        rated_union = E.rated_union
-        monkeypatch.setattr(E, "rated_union", lambda bundle: built.append(rated_union(bundle)) or built[-1])
+        assert b.validation.num_edges > 0
+        built = []  # (attribute, id of the object it was built for)
+        for cls, name in ((D._Table, "row_mean"), (D._Table, "row_mean_t"), (D.DatasetBundle, "rated")):
+
+            def counted(obj, build=vars(cls)[name].func, name=name):
+                built.append((name, id(obj)))
+                return build(obj)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, prop)
         hy = M.HyperParams(D=3, L=2, K=1)
-        params, log = T.train(b, hy, T.TrainConfig(max_epochs=3, batch_size=64, seed=0, val_negatives=10))
-        assert len(log) == 3 and len(built) == 1
-        E.evaluate(params, hy, b, E.EvalConfig(n_values=[5], num_negatives=10, repetitions=3))
-        assert len(built) == 2
+        params, log = T.train(b, hy, T.TrainConfig(max_epochs=2, batch_size=64, seed=0, val_negatives=10))
+        config = E.EvalConfig(n_values=[5], num_negatives=10, repetitions=3)
+        report = E.evaluate(params, hy, b, config)
+        assert len(log) == 2
+        assert sorted(built) == sorted(
+            [(name, id(table)) for name in ("row_mean", "row_mean_t") for table in (b.train, b.social)]
+            + [("rated", id(b))]
+        )
+        fresh = self.bundle()
+        assert E.evaluate(params, hy, fresh, config).per_rep == report.per_rep
         listed = lambda tasks: [(t.user, t.positives.tobytes(), t.candidates.tobytes()) for t in tasks]
         for split in ("validation", "test"):
-            given = E.build_tasks(b, 20, 9, split, rated=built[0])
-            assert listed(given) == listed(E.build_tasks(b, 20, 9, split))
+            assert listed(E.build_tasks(b, 20, 9, split)) == listed(E.build_tasks(fresh, 20, 9, split))
 
 
 SPLITS = ("train", "validation", "test")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,13 @@ class TestUserEmbeddingAndPredict:
         for a in range(8):
             ua = O.user_embedding(state, a, bundle.train.positives_by_user[a], V)
             np.testing.assert_allclose(U[a], ua, rtol=1e-12, atol=1e-15)
+
+    def test_forward_needs_a_social_graph(self):
+        bundle = D.generate_synthetic(D.SyntheticSpec(users=8, items=6, seed=6))
+        hy = feature_hypers(D_=3, L=2, K=1)
+        params = M.init_params(hy, 8, 6, 8, 8, seed=7)
+        with pytest.raises(M.ModelError, match="no social graph"):
+            M.forward_all(params, hy, replace(bundle, social=None))
 
     def test_predict_examples(self):
         assert O.predict([1.0, 0.0], [0.5, 2.0]) == 0.5

@@ -450,21 +450,6 @@ class TestTrain:
             h.update(params[name].astype("<f8").tobytes())
         assert h.hexdigest() == digest
 
-    def test_two_epochs_with_validation_build_one_graph(self, monkeypatch):
-        bundle = tiny_bundle(users=15, items=12, seed=30)
-        assert bundle.validation.num_edges > 0
-        graphs = []
-
-        class CountingGraph(M.Graph):
-            def __init__(self, bundle):
-                graphs.append(self)
-                super().__init__(bundle)
-
-        monkeypatch.setattr(M, "Graph", CountingGraph)
-        _, log = T.train(bundle, M.HyperParams(D=3, L=2, K=1), self.train_config(max_epochs=2))
-        assert len(log) == 2
-        assert len(graphs) == 1
-
     def test_zero_epochs_returns_init(self):
         bundle = tiny_bundle(users=10, items=8, seed=31)
         hy = M.HyperParams(D=3, L=2, K=1)
@@ -493,3 +478,8 @@ class TestTrain:
             T.TrainConfig(learning_rate=-1.0)
         with pytest.raises(T.TrainingError):
             T.TrainConfig(lambda_reg=-0.1)
+        for value in (math.nan, math.inf):
+            with pytest.raises(T.TrainingError, match="learning_rate must be finite"):
+                T.TrainConfig(learning_rate=value)
+            with pytest.raises(T.TrainingError, match="lambda_reg must be finite"):
+                T.TrainConfig(lambda_reg=value)
