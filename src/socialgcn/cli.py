@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import math
 import os
 import sys
@@ -24,7 +25,9 @@ from .checkpoint import (
     CheckpointError,
     atomic_write_text,
     load_checkpoint,
+    load_snapshot,
     save_checkpoint,
+    save_snapshot,
 )
 
 EXIT_OK = 0
@@ -261,6 +264,63 @@ def build_bundle(cfg):
     return replace(bundle, social=social, user_features=uf, item_features=itf)
 
 
+# Snapshot key format, and the settings besides the input bytes that shape build_bundle's result.
+_SNAPSHOT_FORMAT = 1
+_SNAPSHOT_SETTINGS = (
+    "synthetic", "mode", "filter", "min_ratings", "min_links", "min_item_degree",
+    "test_fraction", "validation_fraction", "seed",
+)
+
+
+def _sha256_file(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _dataset_key(cfg):
+    """What build_bundle(cfg) depends on: the settings, and the synthetic spec or each input file's sha256.
+
+    None when an input file cannot be read; build_bundle reports it.
+    """
+    key = {"format": _SNAPSHOT_FORMAT, **{name: getattr(cfg, name) for name in _SNAPSHOT_SETTINGS}}
+    if cfg.synthetic:
+        key["spec"] = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name.startswith("synth_")}
+        return key
+    files = ["interactions", "social"] + (["user_features", "item_features"] if cfg.mode == M.FEATURES else [])
+    try:
+        key["files"] = {name: _sha256_file(getattr(cfg, name)) for name in files}
+    except OSError:
+        return None
+    return key
+
+
+def _save_snapshot(path, cfg, key, bundle, fingerprint):
+    """Save the bundle as the snapshot at `path` if its inputs still have `key`; a failed write is not an error."""
+    if key is None or key != _dataset_key(cfg):  # an input changed while build_bundle read it
+        return
+    try:
+        save_snapshot(path, bundle, key, fingerprint)
+    except OSError:
+        pass
+
+
+def _dataset(cfg, checkpoint_path):
+    """(bundle, fingerprint) of the data cfg describes.
+
+    It comes from the snapshot beside the checkpoint when that snapshot's
+    key matches; otherwise build_bundle makes it and a new snapshot is saved.
+    """
+    path = checkpoint_path + ".data"
+    key = _dataset_key(cfg)
+    found = None if key is None else load_snapshot(path, key)
+    if found is not None:
+        return found
+    bundle = build_bundle(cfg)
+    fingerprint = bundle.fingerprint()
+    _save_snapshot(path, cfg, key, bundle, fingerprint)
+    return bundle, fingerprint
+
+
 def _format_log(cfg, log):
     lines = [
         "# socialgcn training log",
@@ -281,18 +341,22 @@ def _format_log(cfg, log):
 def cmd_train(args):
     cfg = _load_config(args)
     cfg.validate()
+    key = _dataset_key(cfg)
     bundle = build_bundle(cfg)
     params, log = T.train(bundle, cfg.hypers(), cfg.train_config())
     os.makedirs(cfg.output_dir, exist_ok=True)
     log_text = _format_log(cfg, log)
+    checkpoint_path = os.path.join(cfg.output_dir, "checkpoint.bin")
+    fingerprint = bundle.fingerprint()
     save_checkpoint(
-        os.path.join(cfg.output_dir, "checkpoint.bin"),
+        checkpoint_path,
         cfg.hypers(),
         params,
-        bundle.fingerprint(),
+        fingerprint,
         log_tail=log_text.splitlines()[-10:],
         meta={"seed": cfg.seed},
     )
+    _save_snapshot(checkpoint_path + ".data", cfg, key, bundle, fingerprint)
     atomic_write_text(os.path.join(cfg.output_dir, "train.log"), log_text)
     print(f"wrote {cfg.output_dir}/checkpoint.bin and {cfg.output_dir}/train.log "
           f"({len(log)} epochs)")
@@ -300,13 +364,13 @@ def cmd_train(args):
 
 
 def _load_model(args, cfg):
-    """Load the checkpoint and the dataset, failing closed when they do not fit.
+    """Load the checkpoint, the dataset and its fingerprint, failing closed when they do not fit.
 
     Every block the model has for this dataset must be in the checkpoint
     with the same shape; the first that is not is named.
     """
     ckpt = load_checkpoint(args.checkpoint)
-    bundle = build_bundle(cfg)
+    bundle, fingerprint = _dataset(cfg, args.checkpoint)
     dims = [0 if f is None else f.dim for f in (bundle.user_features, bundle.item_features)]
     for name, want in M.param_shapes(ckpt.hypers, bundle.num_users, bundle.num_items, *dims).items():
         if name not in ckpt.params:
@@ -319,14 +383,13 @@ def _load_model(args, cfg):
                     f"checkpoint block {name!r} has {got[0]} rows, dataset has {want[0]} {rows}"
                 )
             raise D.DataError(f"checkpoint block {name!r} has shape {got}, dataset needs {want}")
-    return ckpt, bundle
+    return ckpt, bundle, fingerprint
 
 
 def cmd_evaluate(args):
     cfg = _load_config(args)
     cfg.validate()
-    ckpt, bundle = _load_model(args, cfg)
-    fingerprint = bundle.fingerprint()
+    ckpt, bundle, fingerprint = _load_model(args, cfg)
     if fingerprint != ckpt.fingerprint and not args.allow_mismatch:
         raise D.DataError(
             "dataset fingerprint does not match checkpoint "
@@ -360,11 +423,12 @@ def cmd_predict(args):
         raise ConfigError(f"--top-n must be >= 0, got {args.top_n}")
     cfg = _load_config(args)
     cfg.validate()
-    ckpt, bundle = _load_model(args, cfg)
+    ckpt, bundle, _ = _load_model(args, cfg)
     if not (0 <= args.user < bundle.num_users):
         raise D.DataError(f"unknown user id {args.user} (have {bundle.num_users} users)")
     U, V, _ = M.forward_all(ckpt.params, ckpt.hypers, bundle)
-    items = E.unrated_items(bundle.num_items, bundle.train.positives_by_user[args.user])
+    train = bundle.train
+    items = E.unrated_items(bundle.num_items, train.indices[train.indptr[args.user] : train.indptr[args.user + 1]])
     if not len(items):
         print("all items are training positives for this user; nothing to recommend",
               file=sys.stderr)

@@ -30,6 +30,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise EvaluationError("repetitions must be >= 1")
+        if self.num_negatives < 1:
+            raise EvaluationError(f"num_negatives must be >= 1, got {self.num_negatives!r}")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise EvaluationError("n_values must be positive")
 
@@ -92,9 +94,9 @@ def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test"):
 
 
 def unrated_items(num_items, rated):
-    """Ascending ids in range(num_items) that are not in `rated`."""
+    """Ascending ids in range(num_items) that are not in `rated`, an int array or a list of ints."""
     mask = np.ones(num_items, dtype=bool)
-    mask[list(rated)] = False
+    mask[np.asarray(rated, dtype=np.int64)] = False
     return np.flatnonzero(mask)
 
 

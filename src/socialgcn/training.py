@@ -48,6 +48,8 @@ class TrainConfig:
             raise TrainingError("max_epochs >= 0 and early_stop_patience > 0 required")
         if self.seed < 0:
             raise TrainingError("seed must be non-negative")
+        if self.val_negatives < 1:
+            raise TrainingError(f"val_negatives must be >= 1, got {self.val_negatives!r}")
 
 
 @dataclass(eq=False)

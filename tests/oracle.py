@@ -461,7 +461,7 @@ def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test"):
         positives = target.positives_by_user[a]
         if not positives:
             continue
-        unrated = E.unrated_items(n_items, all_positive_items(bundle, a))
+        unrated = E.unrated_items(n_items, list(all_positive_items(bundle, a)))
         if len(unrated) > num_negatives:
             sampled = rng.choice(unrated, size=num_negatives, replace=False)
         else:

@@ -458,17 +458,21 @@ class TestEvaluateCommand:
         assert "checkpoint block 'P' has 40 rows, dataset has 50 users" in capsys.readouterr().err
 
     def test_hashes_dataset_once(self, tmp_path, monkeypatch):
+        # once on a snapshot miss; a hit reads the fingerprint the snapshot stores
         cfg = write_config(tmp_path)
         cli.main(["train", "--config", cfg])
         ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        os.remove(ckpt + ".data")
         calls = []
         fingerprint = D.DatasetBundle.fingerprint
         monkeypatch.setattr(D.DatasetBundle, "fingerprint", lambda b: calls.append(1) or fingerprint(b))
-        assert cli.main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 0
-        assert len(calls) == 1
-        assert f"# dataset fingerprint: {fingerprint(cli.build_bundle(cli.parse_config(cfg)))}" in (
-            (tmp_path / "out" / "report.txt").read_text().splitlines()
-        )
+        for want in (1, 0):
+            calls.clear()
+            assert cli.main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 0
+            assert len(calls) == want
+            assert f"# dataset fingerprint: {fingerprint(cli.build_bundle(cli.parse_config(cfg)))}" in (
+                (tmp_path / "out" / "report.txt").read_text().splitlines()
+            )
 
     def test_corrupt_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -270,6 +270,12 @@ class TestEvaluate:
         with pytest.raises(E.EvaluationError, match="empty"):
             E.evaluate(params, hy, bad, E.EvalConfig())
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_negatives_rejected(self, value):
+        # fails in the config, not later as a bare NumPy error from the sampler
+        with pytest.raises(E.EvaluationError, match=f"num_negatives must be >= 1, got {value}"):
+            E.EvalConfig(num_negatives=value)
+
     def test_random_scores_hr_near_uniform_expectation(self):
         # 1 positive vs 200 negatives: E[HR@10] = 10/201
         rng = np.random.default_rng(8)

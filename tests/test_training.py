@@ -483,3 +483,9 @@ class TestTrain:
                 T.TrainConfig(learning_rate=value)
             with pytest.raises(T.TrainingError, match="lambda_reg must be finite"):
                 T.TrainConfig(lambda_reg=value)
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_nonpositive_val_negatives_rejected(self, value):
+        # 0 would rank every validation positive against nothing, so HR would read 1
+        with pytest.raises(T.TrainingError, match=f"val_negatives must be >= 1, got {value}"):
+            T.TrainConfig(val_negatives=value)
