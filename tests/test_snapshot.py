@@ -67,12 +67,19 @@ def trained(tmp_path, source="features"):
     return cfg, ckpt
 
 
-def outputs(capsys, cfg, ckpt):
-    """Exit codes, predict stdout, report.txt and metrics.tsv of one predict and one evaluate request."""
+def outputs(capsys, cfg, ckpt, miss=False):
+    """Exit codes, predict stdout, report.txt and metrics.tsv of one predict and one evaluate request.
+
+    With `miss`, each request starts with no snapshot.
+    """
     capsys.readouterr()
-    codes = [cli.main(["predict", "--config", cfg, "--checkpoint", ckpt, "--user", "4", "--top-n", "12"])]
-    predicted = capsys.readouterr().out
-    codes.append(cli.main(["evaluate", "--config", cfg, "--checkpoint", ckpt]))
+    codes = []
+    for argv in (["predict", "--user", "4", "--top-n", "12"], ["evaluate"]):
+        if miss:
+            os.remove(ckpt + ".data")
+        codes.append(cli.main([*argv, "--config", cfg, "--checkpoint", ckpt]))
+        if argv[0] == "predict":
+            predicted = capsys.readouterr().out
     files = [(Path(ckpt).parent / name).read_bytes() for name in ("report.txt", "metrics.tsv")]
     return codes, predicted, files
 
@@ -103,9 +110,8 @@ class TestExactAgainstParse:
         monkeypatch.setattr(cli, "build_bundle", lambda c: parses.append(1) or build_bundle(c))
         hit = outputs(capsys, cfg, ckpt)
         assert parses == []
-        os.remove(ckpt + ".data")
-        miss = outputs(capsys, cfg, ckpt)
-        assert parses == [1]  # the miss saved a snapshot, which the evaluate request read
+        miss = outputs(capsys, cfg, ckpt, miss=True)
+        assert parses == [1, 1]
         assert hit == miss
         assert hit[0] == [0, 0] and hit[1].count("\n") == 12
 
