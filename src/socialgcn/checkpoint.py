@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check
 from .data import DataError, DatasetBundle, FeatureTable, InteractionMatrix, SocialGraph
 from .model import HyperParams, ModelError, ModelParams
 
@@ -106,25 +107,11 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Hyperparameters the header must give as JSON integers, with their least value, or as booleans.
-_INT_HYPERS = {"D": 1, "L": 1, "K": 0}
-_BOOL_HYPERS = ("use_bias", "pin_user_base")
-
-
 def _hypers(path, entry):
     """HyperParams from the header's 'hyperparams' object, naming the first bad entry."""
     if not isinstance(entry, dict):
         raise CheckpointError(f"{path}: header 'hyperparams' is not an object")
-    for key, least in _INT_HYPERS.items():
-        if key in entry and not (_is_int(entry[key]) and entry[key] >= least):
-            raise CheckpointError(
-                f"{path}: hyperparameter {key!r} must be an integer >= {least}, got {entry[key]!r}"
-            )
-    for key in _BOOL_HYPERS:
-        if key in entry and not isinstance(entry[key], bool):
-            raise CheckpointError(
-                f"{path}: hyperparameter {key!r} must be true or false, got {entry[key]!r}"
-            )
+    check(HyperParams, entry, CheckpointError, lambda name: f"{path}: hyperparameter {name!r}")
     try:
         return HyperParams(**entry)
     except (TypeError, ModelError) as exc:

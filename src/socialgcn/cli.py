@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -21,6 +20,7 @@ from . import data as D
 from . import evaluation as E
 from . import model as M
 from . import training as T
+from .bounds import check, like, setting
 from .checkpoint import (
     CheckpointError,
     atomic_write_text,
@@ -40,50 +40,18 @@ class ConfigError(Exception):
     pass
 
 
-# The valid range of each numeric setting: a test, and the words that state it.
-_RANGES = {
-    "dim": (lambda v: v >= 1, ">= 1"),
-    "latent": (lambda v: v >= 1, ">= 1"),
-    "k": (lambda v: v >= 0, ">= 0"),
-    "negatives": (lambda v: v >= 1, ">= 1"),
-    "batch_size": (lambda v: v >= 1, ">= 1"),
-    "learning_rate": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    "lambda_reg": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "max_epochs": (lambda v: v >= 0, ">= 0"),
-    "patience": (lambda v: v >= 1, ">= 1"),
-    "val_negatives": (lambda v: v >= 1, ">= 1"),
-    "eval_negatives": (lambda v: v >= 1, ">= 1"),
-    "repetitions": (lambda v: v >= 1, ">= 1"),
-    "test_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "validation_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "synth_users": (lambda v: v >= 1, ">= 1"),
-    "synth_items": (lambda v: v >= 1, ">= 1"),
-    "synth_dim_user": (lambda v: v >= 1, ">= 1"),
-    "synth_dim_item": (lambda v: v >= 1, ">= 1"),
-    "synth_homophily": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "synth_density": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "synth_clusters": (lambda v: v >= 1, ">= 1"),
-}
-
-
-def _check_range(key, value, name):
-    """Raise a ConfigError naming `name` unless `value` is in the range _RANGES gives `key`."""
-    valid, bound = _RANGES[key]
-    if not valid(value):
-        raise ConfigError(f"{name} must be {bound}, got {value!r}")
-
-
 @dataclass
 class RunConfig:
+    """The settings of one run, each with the range or choices of the library field it feeds."""
+
     # model
-    mode: str = "features"
-    dim: int = 16
-    latent: int = 16
-    k: int = 2
-    aggregator: str = "average"
-    use_bias: bool = True
-    pin_user_base: bool = False
+    mode: str = like(M.HyperParams, "feature_mode")
+    dim: int = like(M.HyperParams, "D", default=16)
+    latent: int = like(M.HyperParams, "L", default=16)
+    k: int = like(M.HyperParams, "K")
+    aggregator: str = like(M.HyperParams, "aggregator")
+    use_bias: bool = like(M.HyperParams, "use_bias")
+    pin_user_base: bool = like(M.HyperParams, "pin_user_base")
     # data files
     interactions: str = ""
     social: str = ""
@@ -91,41 +59,40 @@ class RunConfig:
     item_features: str = ""
     # synthetic data
     synthetic: bool = False
-    synth_users: int = 100
-    synth_items: int = 80
-    synth_dim_user: int = 8
-    synth_dim_item: int = 8
-    synth_homophily: float = 0.8
-    synth_density: float = 0.05
-    synth_clusters: int = 5
+    synth_users: int = like(D.SyntheticSpec, "users", default=100)
+    synth_items: int = like(D.SyntheticSpec, "items", default=80)
+    synth_dim_user: int = like(D.SyntheticSpec, "dim_user")
+    synth_dim_item: int = like(D.SyntheticSpec, "dim_item")
+    synth_homophily: float = like(D.SyntheticSpec, "homophily")
+    synth_density: float = like(D.SyntheticSpec, "density")
+    synth_clusters: int = like(D.SyntheticSpec, "clusters")
     # preprocessing / split
     filter: bool = False
-    min_ratings: int = 2
-    min_links: int = 2
-    min_item_degree: int = 2
-    test_fraction: float = 0.10
-    validation_fraction: float = 0.10
+    min_ratings: int = setting(2, within=">= 0")
+    min_links: int = setting(2, within=">= 0")
+    min_item_degree: int = setting(2, within=">= 0")
+    test_fraction: float = like(D.SplitConfig, "test_fraction")
+    validation_fraction: float = like(D.SplitConfig, "validation_fraction_of_train")
     # training
-    learning_rate: float = 0.001
-    batch_size: int = 512
-    negatives: int = 5
-    lambda_reg: float = 0.0001
-    max_epochs: int = 20
-    patience: int = 10
-    val_negatives: int = 200
+    learning_rate: float = like(T.TrainConfig, "learning_rate")
+    batch_size: int = like(T.TrainConfig, "batch_size")
+    negatives: int = like(T.TrainConfig, "negatives_per_positive")
+    lambda_reg: float = like(T.TrainConfig, "lambda_reg")
+    max_epochs: int = like(T.TrainConfig, "max_epochs")
+    patience: int = like(T.TrainConfig, "early_stop_patience")
+    val_negatives: int = like(T.TrainConfig, "val_negatives")
     # evaluation
-    n: list[int] = field(default_factory=lambda: [5, 10, 15])
-    eval_negatives: int = 1000
-    repetitions: int = 10
+    n: list[int] = like(E.EvalConfig, "n_values")
+    eval_negatives: int = like(E.EvalConfig, "num_negatives")
+    repetitions: int = like(E.EvalConfig, "repetitions")
     # ablation
     variants: list[str] = field(default_factory=lambda: ["full"])
     # run
-    seed: int = 0
+    seed: int = like(T.TrainConfig, "seed")
     output_dir: str = "runs"
 
     def validate(self):
-        if self.mode not in (M.FEATURES, M.FEATURELESS):
-            raise ConfigError(f"mode must be 'features' or 'featureless', got {self.mode!r}")
+        check(RunConfig, vars(self), ConfigError)
         if self.mode == M.FEATURELESS and self.latent != self.dim:
             raise ConfigError("featureless mode requires latent == dim")
         if not self.synthetic:
@@ -142,10 +109,6 @@ class RunConfig:
                 "filter=true with mode=features is unsupported: provide features "
                 "for the already-filtered id space"
             )
-        if self.aggregator not in (M.AGG_AVERAGE, M.AGG_MAX):
-            raise ConfigError(f"aggregator must be 'average' or 'max', got {self.aggregator!r}")
-        for name in _RANGES:
-            _check_range(name, getattr(self, name), name)
         if not self.n or any(n < 1 for n in self.n):
             raise ConfigError(f"n must list cutoffs >= 1, got {self.n}")
         for name in self.variants:
@@ -229,19 +192,15 @@ def parse_config(path):
     return RunConfig(**values)
 
 
+def _synth_key(name):
+    """The config key of SyntheticSpec field `name`."""
+    return name if name == "seed" else f"synth_{name}"
+
+
 def build_bundle(cfg):
     """Assemble the DatasetBundle a config describes (files or synthetic)."""
     if cfg.synthetic:
-        spec = D.SyntheticSpec(
-            users=cfg.synth_users,
-            items=cfg.synth_items,
-            dim_user=cfg.synth_dim_user,
-            dim_item=cfg.synth_dim_item,
-            homophily=cfg.synth_homophily,
-            density=cfg.synth_density,
-            seed=cfg.seed,
-            clusters=cfg.synth_clusters,
-        )
+        spec = D.SyntheticSpec(**{f.name: getattr(cfg, _synth_key(f.name)) for f in dataclasses.fields(D.SyntheticSpec)})
         inter, social, uf, itf = D.synthetic_tables(spec)
         if cfg.mode == M.FEATURELESS:
             uf = itf = None
@@ -338,9 +297,22 @@ def _format_log(cfg, log):
     return "\n".join(lines) + "\n"
 
 
+def _check_dir(path):
+    """Raise a ConfigError unless `path` is a directory or can be made one, before any work is done.
+
+    It can when its nearest existing ancestor is a directory. Nothing is created here.
+    """
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"cannot write {path}: {probe} is not a directory")
+
+
 def cmd_train(args):
     cfg = _load_config(args)
     cfg.validate()
+    _check_dir(cfg.output_dir)
     key = _dataset_key(cfg)
     bundle = build_bundle(cfg)
     params, log = T.train(bundle, cfg.hypers(), cfg.train_config())
@@ -367,7 +339,8 @@ def _load_model(args, cfg):
     """Load the checkpoint, the dataset and its fingerprint, failing closed when they do not fit.
 
     Every block the model has for this dataset must be in the checkpoint
-    with the same shape; the first that is not is named.
+    with the same shape; the first that is not is named. The dataset's
+    fingerprint must be the checkpoint's, unless --allow-mismatch is given.
     """
     ckpt = load_checkpoint(args.checkpoint)
     bundle, fingerprint = _dataset(cfg, args.checkpoint)
@@ -383,18 +356,17 @@ def _load_model(args, cfg):
                     f"checkpoint block {name!r} has {got[0]} rows, dataset has {want[0]} {rows}"
                 )
             raise D.DataError(f"checkpoint block {name!r} has shape {got}, dataset needs {want}")
+    if fingerprint != ckpt.fingerprint and not getattr(args, "allow_mismatch", False):
+        hint = " (pass --allow-mismatch to evaluate anyway)" if hasattr(args, "allow_mismatch") else ""
+        raise D.DataError(f"dataset fingerprint does not match checkpoint{hint}")
     return ckpt, bundle, fingerprint
 
 
 def cmd_evaluate(args):
     cfg = _load_config(args)
     cfg.validate()
+    _check_dir(cfg.output_dir)
     ckpt, bundle, fingerprint = _load_model(args, cfg)
-    if fingerprint != ckpt.fingerprint and not args.allow_mismatch:
-        raise D.DataError(
-            "dataset fingerprint does not match checkpoint "
-            "(pass --allow-mismatch to evaluate anyway)"
-        )
     report = E.evaluate(ckpt.params, ckpt.hypers, bundle, cfg.eval_config())
     table = report.to_table()
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -442,19 +414,9 @@ def cmd_predict(args):
 
 
 def cmd_synth(args):
-    for flag in ("users", "items", "dim_user", "dim_item", "homophily", "density", "clusters", "seed"):
-        key = flag if flag == "seed" else f"synth_{flag}"
-        _check_range(key, getattr(args, flag), "--" + flag.replace("_", "-"))
-    spec = D.SyntheticSpec(
-        users=args.users,
-        items=args.items,
-        dim_user=args.dim_user,
-        dim_item=args.dim_item,
-        homophily=args.homophily,
-        density=args.density,
-        seed=args.seed,
-        clusters=args.clusters,
-    )
+    check(D.SyntheticSpec, vars(args), ConfigError, _flag)
+    _check_dir(args.out)
+    spec = D.SyntheticSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(D.SyntheticSpec)})
     inter, social, uf, itf = D.synthetic_tables(spec)
     os.makedirs(args.out, exist_ok=True)
     D.save_interactions(inter, os.path.join(args.out, "interactions.tsv"))
@@ -475,6 +437,7 @@ def cmd_synth(args):
 def cmd_ablate(args):
     cfg = _load_config(args)
     cfg.validate()
+    _check_dir(cfg.output_dir)
     bundle = build_bundle(cfg)
     rows = E.run_ablation(
         bundle, cfg.hypers(), cfg.train_config(), cfg.eval_config(), cfg.variants
@@ -506,12 +469,16 @@ def _load_config(args):
     return cfg
 
 
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def _add_common(p, with_eval=False):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--dim", type=int)
-    p.add_argument("--mode", choices=[M.FEATURES, M.FEATURELESS])
+    p.add_argument("--mode")
     p.add_argument("--output-dir", dest="output_dir")
     if with_eval:
         p.add_argument("--n", help="comma-separated cutoff list, e.g. 5,10,15")
@@ -543,14 +510,8 @@ def build_parser():
     p.add_argument("--top-n", dest="top_n", type=int, default=10)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
-    p.add_argument("--users", type=int, default=100)
-    p.add_argument("--items", type=int, default=80)
-    p.add_argument("--dim-user", dest="dim_user", type=int, default=8)
-    p.add_argument("--dim-item", dest="dim_item", type=int, default=8)
-    p.add_argument("--homophily", type=float, default=0.8)
-    p.add_argument("--density", type=float, default=0.05)
-    p.add_argument("--clusters", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(D.SyntheticSpec):
+        p.add_argument(_flag(f.name), dest=f.name, type=_PARSERS[f.type], default=getattr(RunConfig, _synth_key(f.name)))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ablate", help="train and compare ablation variants")

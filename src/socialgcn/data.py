@@ -19,6 +19,8 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
+from .bounds import check, setting
+
 
 class DataError(Exception):
     """Malformed or inconsistent input data."""
@@ -235,17 +237,12 @@ class FeatureTable:
 
 @dataclass
 class SplitConfig:
-    test_fraction: float = 0.10
-    validation_fraction_of_train: float = 0.10
-    seed: int = 0
+    test_fraction: float = setting(0.10, within="in (0, 1)")
+    validation_fraction_of_train: float = setting(0.10, within="in (0, 1)")
+    seed: int = setting(0, within=">= 0")
 
     def __post_init__(self):
-        if not (0.0 < self.test_fraction < 1.0):
-            raise DataError(f"test_fraction {self.test_fraction} not in (0,1)")
-        if not (0.0 < self.validation_fraction_of_train < 1.0):
-            raise DataError(
-                f"validation_fraction_of_train {self.validation_fraction_of_train} not in (0,1)"
-            )
+        check(SplitConfig, vars(self), DataError)
 
 
 @dataclass
@@ -640,22 +637,17 @@ def split(interactions, config) -> DatasetBundle:
 
 @dataclass
 class SyntheticSpec:
-    users: int
-    items: int
-    dim_user: int = 8
-    dim_item: int = 8
-    homophily: float = 0.8
-    density: float = 0.05
-    seed: int = 0
-    clusters: int = 5
+    users: int = setting(within=">= 1")
+    items: int = setting(within=">= 1")
+    dim_user: int = setting(8, within=">= 1")
+    dim_item: int = setting(8, within=">= 1")
+    homophily: float = setting(0.8, within="in [0, 1]")
+    density: float = setting(0.05, within="in (0, 1)")
+    seed: int = setting(0, within=">= 0")
+    clusters: int = setting(5, within=">= 1")
 
     def __post_init__(self):
-        if self.users <= 0 or self.items <= 0:
-            raise DataError("synthetic spec needs positive user/item counts")
-        if not (0.0 < self.density < 1.0):
-            raise DataError(f"density {self.density} not in (0,1)")
-        if not (0.0 <= self.homophily <= 1.0):
-            raise DataError(f"homophily {self.homophily} not in [0,1]")
+        check(SyntheticSpec, vars(self), DataError)
 
 
 def synthetic_tables(spec):
@@ -695,7 +687,8 @@ def synthetic_tables(spec):
         if total <= 0 or n_out == 0:
             continue
         w /= total
-        picks = rng.choice(spec.users, size=n_out, replace=False, p=w)
+        # homophily=1 gives no weight outside the cluster, which may have fewer than n_out other users
+        picks = rng.choice(spec.users, size=min(n_out, np.count_nonzero(w)), replace=False, p=w)
         social_edges.extend((a, int(b)) for b in picks)
 
     uf = FeatureTable(

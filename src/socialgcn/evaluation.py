@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as M
+from .bounds import check, setting
 
 
 class EvaluationError(Exception):
@@ -23,15 +24,12 @@ class EvaluationError(Exception):
 @dataclass
 class EvalConfig:
     n_values: list[int] = field(default_factory=lambda: [5, 10, 15])
-    num_negatives: int = 1000
-    repetitions: int = 10
-    seed: int = 0
+    num_negatives: int = setting(1000, within=">= 1")
+    repetitions: int = setting(10, within=">= 1")
+    seed: int = setting(0, within=">= 0")
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise EvaluationError("repetitions must be >= 1")
-        if self.num_negatives < 1:
-            raise EvaluationError(f"num_negatives must be >= 1, got {self.num_negatives!r}")
+        check(EvalConfig, vars(self), EvaluationError)
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise EvaluationError("n_values must be positive")
 
@@ -68,7 +66,7 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def build_tasks(bundle, num_negatives=1000, repetition_seed=0, split="test"):
+def build_tasks(bundle, num_negatives, repetition_seed=0, split="test"):
     """One ranking task per user with at least one positive in `split`, in user order.
 
     Sampled candidates are uniform without replacement over the items the

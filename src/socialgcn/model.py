@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check, setting
+
 FEATURES = "features"
 FEATURELESS = "featureless"
 AGG_AVERAGE = "average"
@@ -25,21 +27,16 @@ class ModelError(Exception):
 
 @dataclass
 class HyperParams:
-    D: int
-    L: int
-    K: int = 2
-    feature_mode: str = FEATURES
-    aggregator: str = AGG_AVERAGE
+    D: int = setting(within=">= 1")
+    L: int = setting(within=">= 1")
+    K: int = setting(2, within=">= 0")
+    feature_mode: str = setting(FEATURES, choices=(FEATURES, FEATURELESS))
+    aggregator: str = setting(AGG_AVERAGE, choices=(AGG_AVERAGE, AGG_MAX))
     use_bias: bool = True
     pin_user_base: bool = False  # the "P=0" ablation: P frozen at zero
 
     def __post_init__(self):
-        if self.feature_mode not in (FEATURES, FEATURELESS):
-            raise ModelError(f"unknown feature_mode {self.feature_mode!r}")
-        if self.aggregator not in (AGG_AVERAGE, AGG_MAX):
-            raise ModelError(f"unknown aggregator {self.aggregator!r}")
-        if self.K < 0:
-            raise ModelError("diffusion depth K must be >= 0")
+        check(HyperParams, vars(self), ModelError)
         if self.feature_mode == FEATURELESS and self.L != self.D:
             raise ModelError("featureless mode requires L == D")
 

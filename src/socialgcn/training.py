@@ -8,7 +8,6 @@ gradient apart from the L2 term on P and Q.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import model as M
+from .bounds import check, setting
 
 
 class TrainingError(Exception):
@@ -28,28 +28,17 @@ class DivergenceError(TrainingError):
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.001
-    batch_size: int = 512
-    negatives_per_positive: int = 5
-    lambda_reg: float = 0.0001
-    max_epochs: int = 20
-    early_stop_patience: int = 10
-    seed: int = 0
-    val_negatives: int = 200  # candidate negatives for per-epoch validation
+    learning_rate: float = setting(0.001, within="finite and > 0")
+    batch_size: int = setting(512, within=">= 1")
+    negatives_per_positive: int = setting(5, within=">= 1")
+    lambda_reg: float = setting(0.0001, within="finite and >= 0")
+    max_epochs: int = setting(20, within=">= 0")
+    early_stop_patience: int = setting(10, within=">= 1")
+    seed: int = setting(0, within=">= 0")
+    val_negatives: int = setting(200, within=">= 1")  # candidate negatives for per-epoch validation
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < math.inf:
-            raise TrainingError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if not 0.0 <= self.lambda_reg < math.inf:
-            raise TrainingError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg!r}")
-        if self.batch_size <= 0 or self.negatives_per_positive <= 0:
-            raise TrainingError("batch_size, negatives_per_positive must be positive")
-        if self.max_epochs < 0 or self.early_stop_patience <= 0:
-            raise TrainingError("max_epochs >= 0 and early_stop_patience > 0 required")
-        if self.seed < 0:
-            raise TrainingError("seed must be non-negative")
-        if self.val_negatives < 1:
-            raise TrainingError(f"val_negatives must be >= 1, got {self.val_negatives!r}")
+        check(TrainConfig, vars(self), TrainingError)
 
 
 @dataclass(eq=False)

@@ -1,17 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from socialgcn import cli
 from socialgcn import data as D
 from socialgcn import model as M
+from socialgcn import training as T
+from socialgcn.bounds import RANGES
 from socialgcn.checkpoint import (
     VERSION,
     CheckpointError,
@@ -161,6 +166,9 @@ class TestConfig:
             ("synth_clusters", "0"),
             ("synth_density", "1"),
             ("synth_homophily", "1.5"),
+            ("min_ratings", "-1"),
+            ("min_links", "-1"),
+            ("min_item_degree", "-1"),
         ],
     )
     def test_out_of_range_number_exits_2_naming_key(self, tmp_path, capsys, key, value):
@@ -176,6 +184,64 @@ class TestConfig:
         assert wider.test.num_edges == math.floor(0.3 * edges)
         spec = D.SyntheticSpec(users=30, items=25, seed=5)
         assert default.fingerprint() == D.generate_synthetic(spec).fingerprint()
+
+
+def malformed_line(draw):
+    """(line, key, message start) of a config line that parse_config or validate rejects.
+
+    The message names `key`; with `key` None it follows the file and line number.
+    """
+    text = st.text(alphabet=TEXT, min_size=1).filter(lambda t: t.strip() and not t.strip().startswith("#"))
+    kind = draw(st.sampled_from(["no-equals", "unknown-key", "unparsable", "out-of-range"]))
+    if kind == "no-equals":
+        return draw(text.filter(lambda t: "=" not in t)), None, "expected key=value"
+    if kind == "unknown-key":
+        key = draw(text.filter(lambda t: "=" not in t and t.strip() not in RUN_FIELDS))
+        return f"{key}=1", None, f"unknown config key {key.strip()!r}"
+    if kind == "unparsable":
+        key = draw(st.sampled_from([k for k, f in RUN_FIELDS.items() if f.type != "str"]))
+        value = draw(st.text(alphabet=TEXT).map(str.strip).filter(lambda v: not parses(RUN_FIELDS[key].type, v)))
+        return f"{key}={value}", key, f"bad value for {key!r}: {value!r}"
+    key = draw(st.sampled_from([k for k, f in RUN_FIELDS.items() if f.metadata]))
+    f = RUN_FIELDS[key]
+    if f.metadata["choices"]:
+        value = draw(st.text(alphabet=TEXT).map(str.strip).filter(lambda v: v not in f.metadata["choices"]))
+    else:
+        numbers = st.floats() if f.type == "float" else st.integers()
+        value = draw(numbers.filter(lambda v: not RANGES[f.metadata["within"]](v)))
+    return f"{key}={value}", key, f"{key} must be "
+
+
+TEXT = st.characters(codec="ascii", exclude_characters="\n\r\x0b\x0c\x1c\x1d\x1e")
+RUN_FIELDS = {f.name: f for f in fields(cli.RunConfig)}
+
+
+def parses(ftype, raw):
+    try:
+        cli._PARSERS[ftype](raw)
+    except (ValueError, KeyError):
+        return False
+    return True
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_malformed_config_exits_2_naming_key_or_line(self, tmp_path_factory, data):
+        root = tmp_path_factory.mktemp("cfg")
+        lines = Path(write_config(root)).read_text(encoding="utf-8").splitlines()
+        line, key, message = malformed_line(data.draw)
+        lines = [l for l in lines if l.partition("=")[0] != key]
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, line)
+        path = root / "bad.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
+        named = message if key else f"{path}:{at + 1}: {message}"
+        assert err.getvalue().startswith(f"config error: {named}")
+        assert not (root / "out").exists()
 
 
 class TestCheckpoint:
@@ -558,6 +624,15 @@ class TestPredictCommand:
                          "--user", "0", "--top-n", "-3"]) == cli.EXIT_CONFIG
         assert capsys.readouterr() == ("", "config error: --top-n must be >= 0, got -3\n")
 
+    def test_fingerprint_mismatch_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cli.main(["train", "--config", cfg])
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        other = write_config(tmp_path, name="other.txt", seed=6)
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", other, "--checkpoint", ckpt, "--user", "0"]) == cli.EXIT_DATA
+        assert capsys.readouterr() == ("", "data error: dataset fingerprint does not match checkpoint\n")
+
     def test_unknown_user(self, tmp_path):
         cfg = write_config(tmp_path)
         cli.main(["train", "--config", cfg])
@@ -610,6 +685,101 @@ class TestSynthCommand:
         assert cli.main(["synth", flag, value, "--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {flag} must be ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "synth"])
+def test_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, under_file):
+    monkeypatch.setattr(T, "train", lambda *args: pytest.fail("trained before checking the output path"))
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    out = str(afile / "sub" if under_file else afile)
+    cfg = write_config(tmp_path)
+    argv = {
+        "train": ["train", "--config", cfg, "--output-dir", out],
+        "evaluate": ["evaluate", "--config", cfg, "--checkpoint", "missing.bin", "--output-dir", out],
+        "ablate": ["ablate", "--config", cfg, "--output-dir", out],
+        "synth": ["synth", "--out", out],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: cannot write {out}: {afile} is not a directory\n")
+
+
+def values(*choices):
+    return st.sampled_from(choices)
+
+
+# Values for each flag, mostly valid, with sizes capped so that a run takes milliseconds.
+FLAG_VALUES = {
+    "--seed": values("0", "1", "5", "-1"),
+    "--k": values("0", "1", "2", "-1"),
+    "--dim": values("3", "4", "0", "x"),
+    "--mode": values("features", "features", "featureless", "bogus"),
+    "--n": values("5,10", "1", "10", "0", "x"),
+    "--negatives": values("5", "20", "0"),
+    "--repetitions": values("1", "2", "0"),
+    "--user": values("0", "3", "11", "12", "-1"),
+    "--top-n": values("0", "3", "10", "-1"),
+    "--users": values("1", "2", "5", "20", "0"),
+    "--items": values("1", "2", "5", "20", "-1"),
+    "--dim-user": values("1", "3", "0"),
+    "--dim-item": values("1", "3", "0"),
+    "--clusters": values("1", "3", "0"),
+    "--homophily": values("0", "0.5", "1", "1.5", "nan"),
+    "--density": values("0.2", "0.9", "0", "1", "nan"),
+}
+COMMON = ["--seed", "--k", "--dim", "--mode", "--output-dir"]
+EVAL = ["--n", "--negatives", "--repetitions", "--allow-mismatch"]
+# Each command's required flags, then its optional ones.
+COMMAND_FLAGS = {
+    "train": (["--config"], COMMON),
+    "evaluate": (["--config", "--checkpoint"], COMMON + EVAL),
+    "predict": (["--config", "--checkpoint", "--user"], COMMON + ["--top-n"]),
+    "ablate": (["--config"], COMMON + EVAL),
+    "synth": (["--out"], ["--users", "--items", "--dim-user", "--dim-item", "--homophily", "--density", "--clusters", "--seed"]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths the argv fuzz picks from, usable ones first: configs, a trained checkpoint and output paths."""
+    root = tmp_path_factory.mktemp("argv")
+    small = dict(synth_users=12, synth_items=10, max_epochs=1, val_negatives=5, eval_negatives=5, repetitions=1)
+    model = write_config(root, name="model.cfg", output_dir=str(root / "model"), **small)
+    assert cli.main(["train", "--config", model]) == 0
+    (root / "afile").write_text("seed=x\n", encoding="utf-8")
+    return {
+        "--config": [write_config(root, name="run.cfg", **small), str(root / "afile"), str(root / "missing.cfg")],
+        "--checkpoint": [str(root / "model" / "checkpoint.bin"), str(root / "afile"), str(root / "missing.bin")],
+        "--output-dir": [str(root / "out"), str(root / "afile"), str(root / "afile" / "sub")],
+        "--out": [str(root / "synth"), str(root / "afile")],
+    }
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_exits_with_a_documented_code(self, fuzz_files, data):
+        command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+        required, optional = COMMAND_FLAGS[command]
+        flags = required + data.draw(st.lists(st.sampled_from(optional), unique=True, max_size=4))
+        argv = [command]
+        for flag in flags:
+            argv.append(flag)
+            if flag in fuzz_files:
+                paths = fuzz_files[flag]
+                argv.append(data.draw(st.sampled_from(paths[:1] * 4 + paths)))
+            elif flag != "--allow-mismatch":
+                argv.append(data.draw(FLAG_VALUES[flag]))
+        if data.draw(st.integers(0, 9)) == 0:
+            argv.append(data.draw(values("--bogus", "extra", "--seed")))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejected the arguments
+                code = exc.code
+        event(f"{command} exit {code}")
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERIC)
 
 
 class TestParser:

@@ -241,14 +241,23 @@ class TestSynthetic:
         b2 = D.generate_synthetic(spec)
         assert b1.fingerprint() == b2.fingerprint()
 
-    def test_homophily_one_all_intra(self):
-        spec = D.SyntheticSpec(users=60, items=30, homophily=1.0, seed=2)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            D.SyntheticSpec(users=60, items=30, homophily=1.0, seed=2),
+            # a cluster with fewer than 4 other users: each follows all of them
+            D.SyntheticSpec(users=5, items=2, dim_user=1, homophily=1.0),
+        ],
+    )
+    def test_homophily_one_all_intra(self, spec):
         rng = np.random.default_rng(spec.seed)
         C = min(spec.clusters, spec.users, spec.items)
         clusters = rng.integers(0, C, size=spec.users)
         _, social, _, _ = D.synthetic_tables(spec)
         for a, b in social.edges():
             assert clusters[a] == clusters[b]
+        mates = np.bincount(clusters)[clusters] - 1
+        assert (np.diff(social.indptr) == np.minimum(mates, min(5, spec.users - 1))).all()
 
     def test_homophily_zero_intra_fraction(self):
         spec = D.SyntheticSpec(users=500, items=50, homophily=0.0, seed=4)
