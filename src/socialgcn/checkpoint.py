@@ -1,31 +1,31 @@
 """Binary checkpoint and dataset-snapshot files: magic + version + JSON block table + payloads.
 
-Both kinds share one container and differ in magic and header entries.
-Checkpoint payloads are little-endian IEEE-754 float64 regardless of the
-training precision so saved artifacts are exactly reproducible; a snapshot
-adds int64 blocks. Writes are atomic (temp file + rename); loading fails
-closed on any version, magic or size mismatch and on any malformed header
-entry, naming the file and the offending block or entry.
+Both kinds share one container (version 2) and differ in magic and header
+entries. Checkpoint payloads are little-endian IEEE-754 float64 regardless
+of the training precision so saved artifacts are exactly reproducible; a
+snapshot holds a bundle's blocks(), checked against the fingerprint in its
+header. Writes are atomic (temp file + rename); loading fails closed on
+any version, magic or size mismatch and on any malformed header entry,
+naming the file and the offending block or entry.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bounds import check
-from .data import DataError, DatasetBundle, FeatureTable, InteractionMatrix, SocialGraph
+from .data import DataError, DatasetBundle, digest
 from .model import HyperParams, ModelError, ModelParams
 
 MAGIC = b"SGCNCKPT"
 SNAPSHOT_MAGIC = b"SGCNDATA"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -59,18 +59,6 @@ def atomic_write_text(path, text):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _hypers_dict(hypers):
-    return {
-        "D": hypers.D,
-        "L": hypers.L,
-        "K": hypers.K,
-        "feature_mode": hypers.feature_mode,
-        "aggregator": hypers.aggregator,
-        "use_bias": hypers.use_bias,
-        "pin_user_base": hypers.pin_user_base,
-    }
-
-
 def _write_container(path, magic, header, blocks):
     """Write `magic`, VERSION, the JSON header with a block table, then each block's bytes.
 
@@ -94,7 +82,7 @@ def _write_container(path, magic, header, blocks):
 def save_checkpoint(path, hypers, params, fingerprint, log_tail=(), meta=None):
     # one block per tensor; the payloads, in block order, are the bytes of params.flat
     header = {
-        "hyperparams": _hypers_dict(hypers),
+        "hyperparams": asdict(hypers),
         "fingerprint": fingerprint,
         "log_tail": list(log_tail),
         "meta": meta or {},
@@ -204,82 +192,33 @@ def load_checkpoint(path):
 
 
 # ---------------------------------------------------------------------------
-# dataset snapshot: the split tables and features of a bundle, keyed by its inputs
-
-_TABLES = {"train": InteractionMatrix, "validation": InteractionMatrix, "test": InteractionMatrix, "social": SocialGraph}
-_FEATURES = ("user_features", "item_features")
-
-
-def _snapshot_digest(header, arrays):
-    """sha256 over a snapshot's counts, fingerprint and blocks (names, shapes, dtypes and bytes)."""
-    h = hashlib.sha256(repr([header.get(k) for k in ("num_users", "num_items", "fingerprint")]).encode())
-    for name, arr in arrays.items():
-        h.update(f"{name}{arr.shape}{arr.dtype.str}".encode())
-        h.update(arr)
-    return h.hexdigest()
+# dataset snapshot: a bundle's blocks, keyed by the inputs they come from
 
 
 def save_snapshot(path, bundle, key, fingerprint):
-    """Write the bundle's tables and features to `path` under `key`, which names the inputs they come from."""
-    arrays = {
-        f"{name}.{part}": np.ascontiguousarray(getattr(getattr(bundle, name), part), dtype="<i8")
-        for name in _TABLES
-        for part in ("indptr", "indices")
-    }
-    for name in _FEATURES:
-        if getattr(bundle, name) is not None:
-            arrays[name] = np.ascontiguousarray(getattr(bundle, name).vectors, dtype="<f8")
+    """Write bundle.blocks() to `path` under `key`, with the counts and the bundle's fingerprint."""
     header = {"key": key, "num_users": bundle.num_users, "num_items": bundle.num_items, "fingerprint": fingerprint}
-    header["sha256"] = _snapshot_digest(header, arrays)
-    _write_container(path, SNAPSHOT_MAGIC, header, list(arrays.items()))
-
-
-def _snapshot_table(path, arrays, name, rows, columns):
-    """The CSR (indptr, indices) blocks of table `name`, checked to be `rows` rows of ids below `columns`."""
-    indptr, indices = arrays.get(f"{name}.indptr"), arrays.get(f"{name}.indices")
-    if not (
-        indptr is not None
-        and indices is not None
-        and indptr.dtype.kind == indices.dtype.kind == "i"
-        and indptr.shape == (rows + 1,)
-        and indices.ndim == 1
-        and indptr[0] == 0
-        and indptr[-1] == len(indices)
-        and (np.diff(indptr) >= 0).all()
-        and (not len(indices) or 0 <= indices.min() <= indices.max() < columns)
-    ):
-        raise CheckpointError(f"{path}: blocks of table {name!r} are not {rows} rows of ids in [0, {columns})")
-    return indptr, indices
+    _write_container(path, SNAPSHOT_MAGIC, header, list(bundle.blocks().items()))
 
 
 def load_snapshot(path, key):
     """(bundle, fingerprint) from the snapshot at `path`; None when there is none or it has another key.
 
-    A snapshot under `key` whose digest or blocks do not check out raises
-    a CheckpointError naming the file.
+    A snapshot under `key` raises a CheckpointError naming the file when the
+    fingerprint recomputed from its blocks, before any table is built, is
+    not the stored one, or when its blocks do not make a bundle.
     """
     if not os.path.isfile(path):
         return None
-    header, arrays = _read_container(path, SNAPSHOT_MAGIC, "dataset snapshot", ("key",), ("<i8", "<f8"))
+    header, arrays = _read_container(
+        path, SNAPSHOT_MAGIC, "dataset snapshot", ("key", "num_users", "num_items", "fingerprint"), ("<i8", "<f8")
+    )
     if header["key"] != key:
         return None
-    if header.get("sha256") != _snapshot_digest(header, arrays):
+    users, items, fingerprint = header["num_users"], header["num_items"], header["fingerprint"]
+    if digest(users, items, arrays) != fingerprint:
         raise CheckpointError(f"{path}: dataset snapshot fails its sha256 check; delete it to re-read the data")
-    users, items = header["num_users"], header["num_items"]
-    if not (_is_int(users) and _is_int(items) and users >= 0 and items >= 0):
-        raise CheckpointError(f"{path}: bad user or item count {users!r}, {items!r}")
-    tables = {}
-    for name, cls in _TABLES.items():
-        counts = (users,) if cls is SocialGraph else (users, items)
-        tables[name] = cls(*counts, *_snapshot_table(path, arrays, name, users, counts[-1]))
-    features = {}
-    for name, rows in zip(_FEATURES, (users, items)):
-        vectors = arrays.get(name)
-        if vectors is not None:
-            if vectors.ndim != 2 or len(vectors) != rows or vectors.dtype.kind != "f":
-                raise CheckpointError(f"{path}: block {name!r} has shape {vectors.shape}, want ({rows}, *)")
-            try:
-                features[name] = FeatureTable(vectors.shape[1], vectors)
-            except DataError as exc:
-                raise CheckpointError(f"{path}: block {name!r}: {exc}") from None
-    return DatasetBundle(**tables, **features), header["fingerprint"]
+    try:
+        return DatasetBundle.from_blocks(users, items, arrays), fingerprint
+    except DataError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

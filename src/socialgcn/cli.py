@@ -263,11 +263,12 @@ def _save_snapshot(path, cfg, key, bundle, fingerprint):
         pass
 
 
-def _dataset(cfg, checkpoint_path):
+def _dataset(cfg, checkpoint_path, expected):
     """(bundle, fingerprint) of the data cfg describes.
 
     It comes from the snapshot beside the checkpoint when that snapshot's
-    key matches; otherwise build_bundle makes it and a new snapshot is saved.
+    key matches. Otherwise build_bundle makes it, and it replaces the
+    snapshot only when its fingerprint is `expected`, the checkpoint's.
     """
     path = checkpoint_path + ".data"
     key = _dataset_key(cfg)
@@ -276,7 +277,8 @@ def _dataset(cfg, checkpoint_path):
         return found
     bundle = build_bundle(cfg)
     fingerprint = bundle.fingerprint()
-    _save_snapshot(path, cfg, key, bundle, fingerprint)
+    if fingerprint == expected:
+        _save_snapshot(path, cfg, key, bundle, fingerprint)
     return bundle, fingerprint
 
 
@@ -343,7 +345,7 @@ def _load_model(args, cfg):
     fingerprint must be the checkpoint's, unless --allow-mismatch is given.
     """
     ckpt = load_checkpoint(args.checkpoint)
-    bundle, fingerprint = _dataset(cfg, args.checkpoint)
+    bundle, fingerprint = _dataset(cfg, args.checkpoint, ckpt.fingerprint)
     dims = [0 if f is None else f.dim for f in (bundle.user_features, bundle.item_features)]
     for name, want in M.param_shapes(ckpt.hypers, bundle.num_users, bundle.num_items, *dims).items():
         if name not in ckpt.params:

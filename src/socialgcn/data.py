@@ -5,6 +5,9 @@ File formats are plain TSV (UTF-8). An optional first non-comment line
 Loaders give a file's data lines to NumPy's C reader, guarded so that it
 reads ids and values as int() and float() do. A line-by-line reader takes
 the files it refuses, and names the first faulty ``path:line``.
+
+A DatasetBundle's canonical form is blocks(), named arrays of fixed dtype;
+its fingerprint is digest() of them, and a dataset snapshot stores them.
 """
 from __future__ import annotations
 
@@ -245,6 +248,23 @@ class SplitConfig:
         check(SplitConfig, vars(self), DataError)
 
 
+# The tables and feature tables of a DatasetBundle, in the order of its blocks.
+_TABLES = ("train", "validation", "test", "social")
+_FEATURES = ("user_features", "item_features")
+
+
+def digest(num_users, num_items, blocks):
+    """The dataset fingerprint: sha256 over the counts and each block's name, shape, dtype and bytes.
+
+    `blocks` maps names to C-contiguous arrays, in DatasetBundle.blocks() order.
+    """
+    h = hashlib.sha256(f"users={num_users} items={num_items}\n".encode())
+    for name, arr in blocks.items():
+        h.update(f"{name} {list(arr.shape)} {arr.dtype.str}\n".encode())
+        h.update(arr)
+    return h.hexdigest()
+
+
 @dataclass
 class DatasetBundle:
     train: InteractionMatrix
@@ -269,21 +289,61 @@ class DatasetBundle:
         users, items = (np.concatenate(parts) for parts in zip(*(t.edge_arrays() for t in tables)))
         return sum(t.indptr for t in tables).tolist(), items[np.argsort(users)]
 
+    def blocks(self):
+        """The bundle's canonical form: {name: array}, in a fixed order.
+
+        '<table>.indptr' and '<table>.indices' as <i8 for train, validation,
+        test and social, then 'user_features' and 'item_features' as <f8;
+        a table or feature table that is None has no blocks.
+        """
+        out = {
+            f"{name}.{part}": np.ascontiguousarray(getattr(getattr(self, name), part), dtype="<i8")
+            for name in _TABLES
+            if getattr(self, name) is not None
+            for part in ("indptr", "indices")
+        }
+        for name in _FEATURES:
+            if getattr(self, name) is not None:
+                out[name] = np.ascontiguousarray(getattr(self, name).vectors, dtype="<f8")
+        return out
+
     def fingerprint(self):
-        """Content hash over a canonical serialization of the whole bundle."""
-        text = [f"users={self.num_users} items={self.num_items}\n"]
-        for name, m in (("train", self.train), ("validation", self.validation), ("test", self.test)):
-            text += [f"[{name}]\n", _edge_lines(m)]
-        text.append("[social]\n")
-        if self.social is not None:
-            text.append(_edge_lines(self.social))
-        h = hashlib.sha256("".join(text).encode())
-        for name, ft in (("user_features", self.user_features), ("item_features", self.item_features)):
-            h.update(f"[{name}]\n".encode())
-            if ft is not None:
-                h.update(str(ft.dim).encode())
-                h.update(np.ascontiguousarray(ft.vectors, dtype="<f8").tobytes())
-        return h.hexdigest()
+        """digest() of the counts and blocks(): equal for equal data, however it was built."""
+        return digest(self.num_users, self.num_items, self.blocks())
+
+    @classmethod
+    def from_blocks(cls, num_users, num_items, blocks):
+        """The bundle whose blocks() are `blocks`, all four tables present; a DataError names the first misfit."""
+        if not all(type(n) is int and n >= 0 for n in (num_users, num_items)):
+            raise DataError(f"bad user or item count {num_users!r}, {num_items!r}")
+        tables = {}
+        for name in _TABLES:
+            table = SocialGraph if name == "social" else InteractionMatrix
+            counts = (num_users,) if name == "social" else (num_users, num_items)
+            indptr, indices = blocks.get(f"{name}.indptr"), blocks.get(f"{name}.indices")
+            if not (
+                indptr is not None
+                and indices is not None
+                and indptr.dtype.kind == indices.dtype.kind == "i"
+                and indptr.shape == (num_users + 1,)
+                and indices.ndim == 1
+                and indptr[0] == 0
+                and indptr[-1] == len(indices)
+                and (np.diff(indptr) >= 0).all()
+                and (not len(indices) or 0 <= indices.min() <= indices.max() < counts[-1])
+            ):
+                raise DataError(f"blocks of table {name!r} are not {num_users} rows of ids in [0, {counts[-1]})")
+            tables[name] = table(*counts, indptr, indices)
+        for name, rows in zip(_FEATURES, (num_users, num_items)):
+            vectors = blocks.get(name)
+            if vectors is not None:
+                if vectors.ndim != 2 or len(vectors) != rows or vectors.dtype.kind != "f":
+                    raise DataError(f"block {name!r} has shape {vectors.shape}, want ({rows}, *)")
+                try:
+                    tables[name] = FeatureTable(vectors.shape[1], vectors)
+                except DataError as exc:
+                    raise DataError(f"block {name!r}: {exc}") from None
+        return cls(**tables)
 
 
 # ---------------------------------------------------------------------------

@@ -273,15 +273,11 @@ def variant_hypers(base, name):
     )
 
 
-def relative_change_percent(value, baseline):
-    return 100.0 * (value - baseline) / baseline
-
-
 def format_relative_change(value, baseline):
     """Signed percent change; 'n/a' when the baseline is 0."""
     if baseline == 0:
         return "n/a"
-    return f"{relative_change_percent(value, baseline):+.2f}%"
+    return f"{100.0 * (value - baseline) / baseline:+.2f}%"
 
 
 @dataclass

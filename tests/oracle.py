@@ -11,6 +11,7 @@ definitions, so tests can compare the two.
 """
 import hashlib
 import math
+import struct
 
 import numpy as np
 
@@ -400,22 +401,32 @@ def preprocess_filter(raw_interactions, raw_social, min_ratings=2, min_links=2, 
 
 
 def fingerprint(bundle):
-    """Content hash over a canonical serialization of the whole bundle."""
-    h = hashlib.sha256()
-    h.update(f"users={bundle.num_users} items={bundle.num_items}\n".encode())
-    for name, m in (("train", bundle.train), ("validation", bundle.validation), ("test", bundle.test)):
-        h.update(f"[{name}]\n".encode())
-        for a, i in m.edges():
-            h.update(f"{a}\t{i}\n".encode())
-    h.update(b"[social]\n")
-    if bundle.social is not None:
-        for a, b in bundle.social.edges():
-            h.update(f"{a}\t{b}\n".encode())
-    for name, ft in (("user_features", bundle.user_features), ("item_features", bundle.item_features)):
-        h.update(f"[{name}]\n".encode())
-        if ft is not None:
-            h.update(str(ft.dim).encode())
-            h.update(np.ascontiguousarray(ft.vectors, dtype="<f8").tobytes())
+    """sha256 over the counts, each table's CSR arrays and each feature matrix, built edge by edge and row by row."""
+    h = hashlib.sha256(f"users={bundle.num_users} items={bundle.num_items}\n".encode())
+
+    def block(name, shape, dtype, values):
+        h.update(f"{name} {shape} {dtype}\n".encode())
+        for v in values:
+            h.update(struct.pack("<q" if dtype == "<i8" else "<d", v))
+
+    for name in ("train", "validation", "test", "social"):
+        table = getattr(bundle, name)
+        if table is None:
+            continue
+        edges = table.edges()
+        counts = [0] * table.num_users
+        for a, _ in edges:
+            counts[a] += 1
+        indptr = [0]
+        for count in counts:
+            indptr.append(indptr[-1] + count)
+        block(f"{name}.indptr", [table.num_users + 1], "<i8", indptr)
+        block(f"{name}.indices", [len(edges)], "<i8", [b for _, b in edges])
+    for name in ("user_features", "item_features"):
+        table = getattr(bundle, name)
+        if table is not None:
+            rows = table.vectors.tolist()
+            block(name, [len(rows), table.dim], "<f8", [v for row in rows for v in row])
     return h.hexdigest()
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import fields, replace
 from pathlib import Path
@@ -277,15 +278,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated payload for block"):
             load_checkpoint(path)
 
-    def test_version_mismatch_fails_closed(self, tmp_path):
+    @pytest.mark.parametrize("version", [99, 1])
+    def test_version_mismatch_fails_closed(self, tmp_path, capsys, version):
         hy, params = self.make()
         path = tmp_path / "e.bin"
         save_checkpoint(path, hy, params, "fp")
         raw = bytearray(path.read_bytes())
-        raw[8] = 99  # version field follows the 8-byte magic
+        raw[8] = version  # version field follows the 8-byte magic
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version"):
+        message = f"{path}: unsupported checkpoint version {version} (want {VERSION})"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
+        argv = ["predict", "--config", write_config(tmp_path), "--checkpoint", str(path), "--user", "0"]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
     def rewrite_header(self, path, edit):
         """Re-pack a saved checkpoint after edit(header) changes its JSON header."""

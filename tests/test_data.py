@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracle as O
 from socialgcn import data as D
@@ -577,5 +578,90 @@ class TestArrayConstructors:
         bundle = D.generate_synthetic(D.SyntheticSpec(users=40, items=30, seed=9))
         assert bundle.fingerprint() == O.fingerprint(bundle)
         assert bundle.fingerprint() == (
-            "8a97b1b4ee4ef922f706a4b5388224f63a1b93e54efcf5228f9c268f10f40f67"
+            "0d8ed9afbbc672289d9d4eb90eae7a92a4fd49fe3b5631b3f9438d2f55c333ba"
         )
+
+
+@st.composite
+def datasets(draw):
+    """(users, items, split edge lists, social edges, feature matrices or None) of a small dataset."""
+    users, items = draw(st.integers(2, 7)), draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, users - 1), st.integers(0, items - 1))
+    edges = draw(st.lists(pairs, min_size=1, max_size=20, unique=True))
+    where = draw(st.lists(st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
+    splits = [[e for e, k in zip(edges, where) if k == s] for s in range(3)]
+    follows = st.tuples(st.integers(0, users - 1), st.integers(0, users - 1)).filter(lambda e: e[0] != e[1])
+    social = draw(st.lists(follows, max_size=12, unique=True))
+    values = st.floats(-1e6, 1e6)
+    features = [
+        draw(st.none() | st.integers(1, 3).flatmap(lambda dim: hnp.arrays(np.float64, (rows, dim), elements=values)))
+        for rows in (users, items)
+    ]
+    return users, items, splits, social, features
+
+
+def bundle_of(
+    users, items, splits, social, features, make=D.InteractionMatrix.from_edges, follow=D.SocialGraph.from_edges
+):
+    tables = [make(edges, users, items) for edges in splits]
+    uf, itf = (None if f is None else D.FeatureTable(f.shape[1], f) for f in features)
+    return D.DatasetBundle(*tables, follow(social, users), uf, itf)
+
+
+class TestFingerprint:
+    @settings(max_examples=150, deadline=None)
+    @given(dataset=datasets(), data=st.data())
+    def test_each_change_of_the_data_changes_it(self, dataset, data):
+        users, items, splits, social, features = dataset
+        base = bundle_of(*dataset).fingerprint()
+        changed = {}
+
+        source = data.draw(st.sampled_from([s for s in range(3) if splits[s]]))
+        target = data.draw(st.sampled_from([s for s in range(3) if s != source]))
+        moved = [list(edges) for edges in splits]
+        moved[target].append(moved[source].pop(data.draw(st.integers(0, len(splits[source]) - 1))))
+        changed["move an edge between splits"] = (users, items, moved, social, features)
+
+        absent = [(a, b) for a in range(users) for b in range(users) if a != b and (a, b) not in social]
+        if absent:
+            added = social + [data.draw(st.sampled_from(absent))]
+            changed["add a social edge"] = (users, items, splits, added, features)
+        if social:
+            removed = list(social)
+            removed.pop(data.draw(st.integers(0, len(social) - 1)))
+            changed["remove a social edge"] = (users, items, splits, removed, features)
+
+        changed["one more user"] = (users + 1, items, splits, social, features)
+        changed["one more item"] = (users, items + 1, splits, social, features)
+
+        present = [k for k, f in enumerate(features) if f is not None]
+        if present:
+            k = data.draw(st.sampled_from(present))
+            flipped = list(features)
+            flipped[k] = features[k].copy()
+            row = data.draw(st.integers(0, len(flipped[k]) - 1))
+            col = data.draw(st.integers(0, flipped[k].shape[1] - 1))
+            bit = data.draw(st.sampled_from([*range(52), 63]))  # a mantissa or the sign bit: the value stays finite
+            flipped[k].view(np.uint64)[row, col] ^= np.uint64(1 << bit)
+            changed["flip a feature bit"] = (users, items, splits, social, flipped)
+            dropped = list(features)
+            dropped[k] = None
+            changed["drop a feature table"] = (users, items, splits, social, dropped)
+
+        for what, other in changed.items():
+            assert bundle_of(*other).fingerprint() != base, what
+
+    @settings(max_examples=100, deadline=None)
+    @given(dataset=datasets(), dtype=st.sampled_from([np.int32, np.int64]))
+    def test_equal_for_edges_and_arrays(self, dataset, dtype):
+        def arrays(edges, *counts):
+            ids = np.array(edges, dtype=dtype).reshape(-1, 2)
+            return ids[:, 0], ids[:, 1], *counts
+
+        from_arrays = bundle_of(
+            *dataset,
+            make=lambda edges, *counts: D.InteractionMatrix.from_arrays(*arrays(edges, *counts)),
+            follow=lambda edges, *counts: D.SocialGraph.from_arrays(*arrays(edges, *counts)),
+        )
+        bundle = bundle_of(*dataset)
+        assert from_arrays.fingerprint() == bundle.fingerprint() == O.fingerprint(bundle)

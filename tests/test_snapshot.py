@@ -1,8 +1,11 @@
 """The dataset snapshot beside a checkpoint: exact against the parse path, and fail-closed."""
+import hashlib
+import json
 import os
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +87,15 @@ def outputs(capsys, cfg, ckpt, miss=False):
     return codes, predicted, files
 
 
+def without_header_entry(raw, name):
+    """A container's bytes with entry `name` taken out of its JSON header."""
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20 : 20 + length])
+    del header[name]
+    packed = json.dumps(header).encode("utf-8")
+    return raw[:12] + struct.pack("<Q", len(packed)) + packed + raw[20 + length :]
+
+
 def bits(table):
     return None if table is None else (table.dim, table.vectors.tobytes())
 
@@ -155,8 +167,13 @@ class TestFailClosed:
             (lambda raw: raw[:-200] + bytes([raw[-200] ^ 0x80]) + raw[-199:], "fails its sha256 check"),
             (lambda raw: b"NOTADATA" + raw[8:], "bad magic bytes, not a dataset snapshot"),
             (lambda raw: raw[:8] + struct.pack("<I", 99) + raw[12:], "unsupported dataset snapshot version 99"),
+            (lambda raw: raw[:8] + struct.pack("<I", 1) + raw[12:], "unsupported dataset snapshot version 1 (want 2)"),
+            (lambda raw: without_header_entry(raw, "num_users"), "header has no 'num_users' entry"),
         ],
-        ids=["truncated", "cut-in-magic", "flipped-last-byte", "flipped-payload-byte", "magic", "version"],
+        ids=[
+            "truncated", "cut-in-magic", "flipped-last-byte", "flipped-payload-byte", "magic", "version",
+            "version-1", "no-num-users",
+        ],
     )
     def test_corrupt_snapshot_exits_3_naming_it(self, tmp_path, capsys, corrupt, message):
         cfg, ckpt = trained(tmp_path)
@@ -167,6 +184,46 @@ class TestFailClosed:
             assert cli.main([*command, "--config", cfg, "--checkpoint", ckpt]) == cli.EXIT_DATA
             err = capsys.readouterr().err
             assert err.startswith(f"data error: {path}: ") and message in err, err
+
+    def test_mismatching_request_leaves_the_snapshot(self, tmp_path, capsys, monkeypatch):
+        cfg, ckpt = trained(tmp_path)  # seed=5
+        digest = hashlib.sha256(Path(ckpt + ".data").read_bytes()).hexdigest()
+        argv = ["predict", "--config", cfg, "--checkpoint", ckpt, "--user", "1"]
+        assert cli.main([*argv, "--seed", "6"]) == cli.EXIT_DATA
+        assert "fingerprint does not match" in capsys.readouterr().err
+        assert hashlib.sha256(Path(ckpt + ".data").read_bytes()).hexdigest() == digest
+        parses = []
+        build_bundle = cli.build_bundle
+        monkeypatch.setattr(cli, "build_bundle", lambda c: parses.append(1) or build_bundle(c))
+        assert cli.main(argv) == 0
+        assert parses == []
+
+    @pytest.mark.parametrize(
+        "counts,edit,message",
+        [
+            ((-1, 15), lambda blocks: None, "bad user or item count -1, 15"),
+            ((20, 15), lambda blocks: blocks.pop("social.indptr"), "blocks of table 'social' are not 20 rows"),
+            ((20, 15), lambda blocks: blocks.update({"test.indices": blocks["test.indices"] + 15}), "table 'test'"),
+            ((20, 14), lambda blocks: None, "blocks of table 'train' are not 20 rows of ids in [0, 14)"),
+            ((20, 15), lambda blocks: blocks.update({"user_features": blocks["user_features"][1:]}), "want (20, *)"),
+            (
+                (20, 15),
+                lambda blocks: blocks.update({"item_features": np.full_like(blocks["item_features"], np.inf)}),
+                "block 'item_features': non-finite feature value",
+            ),
+        ],
+        ids=["count", "missing-block", "id-out-of-range", "fewer-items", "feature-rows", "non-finite"],
+    )
+    def test_blocks_that_make_no_bundle_are_named(self, tmp_path, counts, edit, message):
+        # a snapshot whose stored fingerprint is the digest of its blocks, but whose blocks are no dataset
+        blocks = D.generate_synthetic(D.SyntheticSpec(users=20, items=15, seed=1)).blocks()
+        edit(blocks)
+        path = str(tmp_path / "s.data")
+        header = {"key": "k", "num_users": counts[0], "num_items": counts[1], "fingerprint": D.digest(*counts, blocks)}
+        C._write_container(path, C.SNAPSHOT_MAGIC, header, list(blocks.items()))
+        with pytest.raises(C.CheckpointError) as raised:
+            C.load_snapshot(path, "k")
+        assert str(raised.value).startswith(f"{path}: ") and message in str(raised.value)
 
     def test_unwritable_snapshot_still_answers(self, tmp_path, capsys, monkeypatch):
         cfg, ckpt = trained(tmp_path)
