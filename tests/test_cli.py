@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -671,6 +672,17 @@ class TestSynthCommand:
         for name in ("interactions.tsv", "social.tsv", "user_features.tsv",
                      "item_features.tsv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_files_are_pinned(self, tmp_path):
+        out = tmp_path / "synth"
+        cli.main(["synth", "--users", "20", "--items", "15", "--seed", "3", "--out", str(out)])
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == {
+            "interactions.tsv": "774058c938e879093ffe03d234e27cb215bf96b9f611a41c528a3490589e4096",
+            "social.tsv": "390aff0e64b7cba0a02ce3563519b5742b84a2292aed0b4cde39d500e044fe9b",
+            "user_features.tsv": "3adf28cf6bae19389120ba098253738f3d0bcd479dab6075001a8bbf655ce36d",
+            "item_features.tsv": "92393b08da0c9d9dbdc9485315f37f36f9122ac74ff53cb755aa0803dc776acf",
+        }
 
     @pytest.mark.parametrize(
         "flag,value",

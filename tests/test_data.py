@@ -281,6 +281,33 @@ class TestSynthetic:
         with pytest.raises(D.DataError):
             D.SyntheticSpec(users=0, items=5)
 
+    @pytest.mark.parametrize(
+        "spec,fingerprint",
+        [
+            # the two perfbench workloads
+            (D.SyntheticSpec(users=300, items=450, seed=0),
+             "d5add22c0b1644d54883db0f7e774b2cd7e8e8ef70fdd4f56a0219c0cb84c669"),
+            (D.SyntheticSpec(users=200, items=600, seed=0),
+             "e1d74b64c20fdf9dd2aac9fbe15578ae200b62c3dd49cf2e1cd1f40720ea119e"),
+            (D.SyntheticSpec(users=40, items=30, homophily=0.0, seed=9),
+             "ee2bf3efc9b513e4510f151553b3f7bd5b1410036d08173e65b108fd33ced724"),
+            (D.SyntheticSpec(users=40, items=30, homophily=1.0, seed=9),
+             "38cedc6cf1f46aded1270b889166ee115d0a1ce848392c2e8f9b011dd68130d0"),
+            # user clusters of sizes [4, 2, 1, 2, 3]: one user is alone in theirs
+            (D.SyntheticSpec(users=12, items=30, seed=0),
+             "73a5380260535fb2ddb2475462df33580b7aacbfa62e12e735ee2a43d36ecb5c"),
+            (D.SyntheticSpec(users=40, items=30, clusters=1, seed=9),
+             "9a0a865c8267ba2d1cd423df76d9ea6067e850f321ba44f4ca880bb7691ee218"),
+            # 27 of 30 items per user: the weighted draws take several rounds
+            (D.SyntheticSpec(users=40, items=30, density=0.9, seed=9),
+             "01ca60a985a5699b08beae3a5dbf3f3710b66b626f6deb3e5ad0960fa765b011"),
+            (D.SyntheticSpec(users=1, items=200, seed=9),
+             "d929c24403495f7f81c6ff7aa259b1afbb0ed1847f35450190488ee6fa3f7509"),
+        ],
+    )
+    def test_fingerprint_is_pinned(self, spec, fingerprint):
+        assert D.generate_synthetic(spec).fingerprint() == fingerprint
+
 
 # ---------------------------------------------------------------------------
 # bulk loaders, array constructors, split and fingerprint against the
