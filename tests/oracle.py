@@ -4,10 +4,13 @@ The package computes the model over whole matrices (`model.forward_all`),
 draws negatives in blocks (`training.sample_pairs`), parses TSV files in
 bulk passes (`data.load_*`), builds ranking tasks as int arrays
 (`evaluation.build_tasks`), ranks every task of an evaluation at once
-(`evaluation.evaluate_tasks`) and runs Adam once over the flat parameter
-vector (`training.adam_step`). These functions compute the same quantities
-one entity (or tensor) at a time, with the checks of the scalar
-definitions, so tests can compare the two.
+(`evaluation.evaluate_tasks`), runs Adam once over the flat parameter
+vector (`training.adam_step`) and draws synthetic data with per-cluster
+weights (`data.synthetic_tables`). These functions compute the same
+quantities one entity (or tensor) at a time, with the checks of the scalar
+definitions, so tests can compare the two. `synthetic_tables` here is the
+generator as it was before the per-cluster rewrite, one
+`Generator.choice` per user.
 """
 import hashlib
 import math
@@ -428,6 +431,60 @@ def fingerprint(bundle):
             rows = table.vectors.tolist()
             block(name, [len(rows), table.dim], "<f8", [v for row in rows for v in row])
     return h.hexdigest()
+
+
+def synthetic_tables(spec):
+    """Raw (unsplit) synthetic data: interactions, social graph, features.
+
+    Users and items get planted clusters; users rate mostly own-cluster
+    items, follow same-cluster users with probability `homophily`, and
+    features are noisy cluster centroids. Pure function of the spec.
+    """
+    rng = np.random.default_rng(spec.seed)
+    C = min(spec.clusters, spec.users, spec.items)
+    user_cluster = rng.integers(0, C, size=spec.users)
+    item_cluster = rng.integers(0, C, size=spec.items)
+    user_centroids = rng.normal(0.0, 1.0, size=(C, spec.dim_user))
+    item_centroids = rng.normal(0.0, 1.0, size=(C, spec.dim_item))
+
+    n_pos = min(spec.items, max(3, int(round(spec.density * spec.items))))
+    inter_edges = []
+    for a in range(spec.users):
+        w = np.where(item_cluster == user_cluster[a], 4.0, 1.0)
+        w /= w.sum()
+        picks = rng.choice(spec.items, size=n_pos, replace=False, p=w)
+        inter_edges.extend((a, int(i)) for i in picks)
+
+    n_out = min(5, spec.users - 1)
+    social_edges = []
+    for a in range(spec.users):
+        same = np.flatnonzero(user_cluster == user_cluster[a])
+        same = same[same != a]
+        w = np.full(spec.users, (1.0 - spec.homophily) / max(spec.users - 1, 1))
+        if len(same) > 0:
+            w[same] += spec.homophily / len(same)
+        else:
+            w[np.arange(spec.users) != a] = 1.0 / max(spec.users - 1, 1)
+        w[a] = 0.0
+        total = w.sum()
+        if total <= 0 or n_out == 0:
+            continue
+        w /= total
+        # homophily=1 gives no weight outside the cluster, which may have fewer than n_out other users
+        picks = rng.choice(spec.users, size=min(n_out, np.count_nonzero(w)), replace=False, p=w)
+        social_edges.extend((a, int(b)) for b in picks)
+
+    uf = D.FeatureTable(
+        dim=spec.dim_user,
+        vectors=user_centroids[user_cluster] + 0.1 * rng.normal(size=(spec.users, spec.dim_user)),
+    )
+    itf = D.FeatureTable(
+        dim=spec.dim_item,
+        vectors=item_centroids[item_cluster] + 0.1 * rng.normal(size=(spec.items, spec.dim_item)),
+    )
+    inter = D.InteractionMatrix.from_edges(inter_edges, spec.users, spec.items)
+    social = D.SocialGraph.from_edges(social_edges, spec.users)
+    return inter, social, uf, itf
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,25 @@ class TestSynthetic:
     def test_fingerprint_is_pinned(self, spec, fingerprint):
         assert D.generate_synthetic(spec).fingerprint() == fingerprint
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        users=st.integers(1, 60),
+        items=st.integers(1, 60),
+        clusters=st.integers(1, 8),
+        homophily=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        density=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_reference(self, users, items, clusters, homophily, density, dims, seed):
+        spec = D.SyntheticSpec(users=users, items=items, dim_user=dims[0], dim_item=dims[1],
+                               homophily=homophily, density=density, seed=seed, clusters=clusters)
+        inter, social, uf, itf = D.synthetic_tables(spec)
+        inter0, social0, uf0, itf0 = O.synthetic_tables(spec)
+        assert inter == inter0 and social == social0
+        assert uf.vectors.tobytes() == uf0.vectors.tobytes()
+        assert itf.vectors.tobytes() == itf0.vectors.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # bulk loaders, array constructors, split and fingerprint against the
