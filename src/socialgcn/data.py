@@ -600,10 +600,6 @@ def load_features(path, expected_count) -> FeatureTable:
     return FeatureTable(dim=vectors.shape[1], vectors=vectors[row_of])
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def save_interactions(matrix, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"users={matrix.num_users} items={matrix.num_items}\n")
@@ -617,10 +613,9 @@ def save_social(graph, path):
 
 
 def save_features(table, path):
+    """One 'entity<TAB>v1,v2,...' line per row; repr() writes each value so that float() reads it back exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ent in range(table.vectors.shape[0]):
-            vals = ",".join(_fmt(v) for v in table.vectors[ent])
-            fh.write(f"{ent}\t{vals}\n")
+        fh.writelines(f"{ent}\t{','.join(map(repr, row))}\n" for ent, row in enumerate(table.vectors.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -710,12 +705,39 @@ class SyntheticSpec:
         check(SyntheticSpec, vars(self), DataError)
 
 
+def _weighted_draw(rng, p, size, cdf=None):
+    """The ids rng.choice(len(p), size, replace=False, p=p) returns, from the same draws.
+
+    As Generator.choice does (NumPy 2.4), each round draws one uniform per
+    missing id, zeroes the found ids' weights, inverts the normalised cdf
+    and keeps the first draw of each new id, in draw order. `cdf` is p's
+    first-round cdf when the caller has it already; p is not modified.
+    """
+    found = []
+    while len(found) < size:
+        x = rng.random(size - len(found))
+        if found:
+            p = p.copy()
+            p[found] = 0.0
+            cdf = None
+        if cdf is None:
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+        found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+    return found
+
+
 def synthetic_tables(spec):
     """Raw (unsplit) synthetic data: interactions, social graph, features.
 
     Users and items get planted clusters; users rate mostly own-cluster
     items, follow same-cluster users with probability `homophily`, and
     features are noisy cluster centroids. Pure function of the spec.
+
+    Stream contract: every weighted draw is the one
+    Generator.choice(n, size, replace=False, p=w) makes, so the output is
+    that of one choice per user; tests pin its bytes. A user's weights
+    depend only on their cluster, so they are built once per cluster.
     """
     rng = np.random.default_rng(spec.seed)
     C = min(spec.clusters, spec.users, spec.items)
@@ -725,31 +747,42 @@ def synthetic_tables(spec):
     item_centroids = rng.normal(0.0, 1.0, size=(C, spec.dim_item))
 
     n_pos = min(spec.items, max(3, int(round(spec.density * spec.items))))
-    inter_edges = []
-    for a in range(spec.users):
-        w = np.where(item_cluster == user_cluster[a], 4.0, 1.0)
+    item_weights = []
+    for c in range(C):
+        w = np.where(item_cluster == c, 4.0, 1.0)
         w /= w.sum()
-        picks = rng.choice(spec.items, size=n_pos, replace=False, p=w)
-        inter_edges.extend((a, int(i)) for i in picks)
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        item_weights.append((w, cdf))
+    rated = []
+    for c in user_cluster.tolist():
+        w, cdf = item_weights[c]
+        rated.extend(_weighted_draw(rng, w, n_pos, cdf))
 
     n_out = min(5, spec.users - 1)
-    social_edges = []
-    for a in range(spec.users):
-        same = np.flatnonzero(user_cluster == user_cluster[a])
-        same = same[same != a]
-        w = np.full(spec.users, (1.0 - spec.homophily) / max(spec.users - 1, 1))
-        if len(same) > 0:
-            w[same] += spec.homophily / len(same)
-        else:
-            w[np.arange(spec.users) != a] = 1.0 / max(spec.users - 1, 1)
-        w[a] = 0.0
-        total = w.sum()
-        if total <= 0 or n_out == 0:
-            continue
-        w /= total
-        # homophily=1 gives no weight outside the cluster, which may have fewer than n_out other users
-        picks = rng.choice(spec.users, size=min(n_out, np.count_nonzero(w)), replace=False, p=w)
-        social_edges.extend((a, int(b)) for b in picks)
+    followers, followees = [], []
+    if n_out > 0:
+        base = (1.0 - spec.homophily) / (spec.users - 1)
+        sizes = np.bincount(user_cluster, minlength=C).tolist()
+        templates = []
+        for c, s in enumerate(sizes):
+            if s > 1:
+                t = np.full(spec.users, base)
+                t[user_cluster == c] += spec.homophily / (s - 1)
+                # homophily=1 gives no weight outside the cluster, which may have fewer than n_out other users
+                nonzero = spec.users - 1 if base > 0 else s - 1
+            else:
+                t = np.full(spec.users, 1.0 / (spec.users - 1))
+                nonzero = spec.users - 1
+            templates.append((t, min(n_out, nonzero)))
+        for a, c in enumerate(user_cluster.tolist()):
+            t, size = templates[c]
+            w = t.copy()
+            w[a] = 0.0
+            w /= w.sum()
+            picks = _weighted_draw(rng, w, size)
+            followers.extend([a] * len(picks))
+            followees.extend(picks)
 
     uf = FeatureTable(
         dim=spec.dim_user,
@@ -759,8 +792,11 @@ def synthetic_tables(spec):
         dim=spec.dim_item,
         vectors=item_centroids[item_cluster] + 0.1 * rng.normal(size=(spec.items, spec.dim_item)),
     )
-    inter = InteractionMatrix.from_edges(inter_edges, spec.users, spec.items)
-    social = SocialGraph.from_edges(social_edges, spec.users)
+    raters = np.repeat(np.arange(spec.users), n_pos)
+    inter = InteractionMatrix.from_arrays(raters, np.array(rated, dtype=np.int64), spec.users, spec.items)
+    social = SocialGraph.from_arrays(
+        np.array(followers, dtype=np.int64), np.array(followees, dtype=np.int64), spec.users
+    )
     return inter, social, uf, itf
 
 

@@ -139,6 +139,14 @@ class TestRoundTrips:
         D.save_features(t, tmp_path / "f.tsv")
         assert D.load_features(tmp_path / "f.tsv", 6) == t
 
+    def test_features_write_repr(self, tmp_path):
+        vectors = np.array([[-0.0, 5e-324, 1e300], [-2.5e-310, 0.1, 1 / 3]])
+        D.save_features(D.FeatureTable(dim=3, vectors=vectors), tmp_path / "f.tsv")
+        assert (tmp_path / "f.tsv").read_text() == (
+            "0\t-0.0,5e-324,1e+300\n1\t-2.5e-310,0.1,0.3333333333333333\n"
+        )
+        assert D.load_features(tmp_path / "f.tsv", 2).vectors.tobytes() == vectors.tobytes()
+
 
 class TestPreprocessFilter:
     def test_low_rating_user_removed(self):
@@ -326,6 +334,34 @@ class TestSynthetic:
         assert inter == inter0 and social == social0
         assert uf.vectors.tobytes() == uf0.vectors.tobytes()
         assert itf.vectors.tobytes() == itf0.vectors.tobytes()
+
+
+class TestWeightedDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.integers(1, 50).flatmap(lambda n: hnp.arrays(
+            np.float64, n,
+            elements=st.just(0.0) | st.integers(-60, 10).map(lambda k: 2.0**k) | st.floats(1e-3, 1.0),
+        )),
+        data=st.data(),
+        seed=st.integers(0, 2**32),
+        with_cdf=st.booleans(),
+    )
+    def test_draws_what_choice_draws(self, weights, data, seed, with_cdf):
+        nonzero = np.count_nonzero(weights)
+        assume(nonzero > 0)
+        p = weights / weights.sum()
+        size = data.draw(st.integers(0, nonzero))
+        cdf = None
+        if with_cdf:
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+        before = p.copy()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = D._weighted_draw(ours, p, size, cdf)
+        assert got == theirs.choice(len(p), size, replace=False, p=p).tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert p.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
