@@ -17,6 +17,6 @@ from .data import (
 )
 from .evaluation import EvalConfig, MetricReport, evaluate, run_ablation
 from .model import HyperParams, ModelParams, forward_all, init_params
-from .training import TrainConfig, bpr_pair_loss, compute_gradients, train
+from .training import TrainConfig, train
 
 __version__ = "0.1.0"

@@ -299,11 +299,14 @@ def _format_log(cfg, log):
     return "\n".join(lines) + "\n"
 
 
-def _check_dir(path):
+def _check_dir(path, name):
     """Raise a ConfigError unless `path` is a directory or can be made one, before any work is done.
 
-    It can when its nearest existing ancestor is a directory. Nothing is created here.
+    It can when it is not empty and its nearest existing ancestor is a
+    directory. `name` is the key or flag that gave the path. Nothing is created here.
     """
+    if not path:
+        raise ConfigError(f"{name} must not be empty")
     probe = os.path.abspath(path)
     while not os.path.lexists(probe):
         probe = os.path.dirname(probe)
@@ -314,7 +317,7 @@ def _check_dir(path):
 def cmd_train(args):
     cfg = _load_config(args)
     cfg.validate()
-    _check_dir(cfg.output_dir)
+    _check_dir(cfg.output_dir, "output_dir")
     key = _dataset_key(cfg)
     bundle = build_bundle(cfg)
     params, log = T.train(bundle, cfg.hypers(), cfg.train_config())
@@ -367,7 +370,7 @@ def _load_model(args, cfg):
 def cmd_evaluate(args):
     cfg = _load_config(args)
     cfg.validate()
-    _check_dir(cfg.output_dir)
+    _check_dir(cfg.output_dir, "output_dir")
     ckpt, bundle, fingerprint = _load_model(args, cfg)
     report = E.evaluate(ckpt.params, ckpt.hypers, bundle, cfg.eval_config())
     table = report.to_table()
@@ -417,7 +420,7 @@ def cmd_predict(args):
 
 def cmd_synth(args):
     check(D.SyntheticSpec, vars(args), ConfigError, _flag)
-    _check_dir(args.out)
+    _check_dir(args.out, "--out")
     spec = D.SyntheticSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(D.SyntheticSpec)})
     inter, social, uf, itf = D.synthetic_tables(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -439,7 +442,7 @@ def cmd_synth(args):
 def cmd_ablate(args):
     cfg = _load_config(args)
     cfg.validate()
-    _check_dir(cfg.output_dir)
+    _check_dir(cfg.output_dir, "output_dir")
     bundle = build_bundle(cfg)
     rows = E.run_ablation(
         bundle, cfg.hypers(), cfg.train_config(), cfg.eval_config(), cfg.variants

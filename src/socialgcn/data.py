@@ -179,7 +179,7 @@ class InteractionMatrix(_Table):
 
 @dataclass(eq=False)
 class SocialGraph(_Table):
-    """Directed follow graph; row a (followees_by_user[a]) is a's ego network."""
+    """Directed follow graph; row a, the users a follows, is a's ego network."""
 
     num_users: int
     indptr: np.ndarray
@@ -210,10 +210,6 @@ class SocialGraph(_Table):
     @property
     def shape(self):
         return self.num_users, self.num_users
-
-    @property
-    def followees_by_user(self):
-        return Rows(self)
 
 
 @dataclass

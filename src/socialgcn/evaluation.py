@@ -104,29 +104,6 @@ def rank_candidates(candidates, scores):
     return candidates[np.lexsort((candidates, -np.asarray(scores)))].tolist()
 
 
-def hit_ratio_at_n(ranked, positives, n):
-    """|top-N intersect positives| / |positives|."""
-    positives = set(positives)
-    if not positives:
-        raise EvaluationError("hit_ratio_at_n needs a non-empty positive set")
-    hits = sum(1 for item in ranked[:n] if item in positives)
-    return hits / len(positives)
-
-
-def ndcg_at_n(ranked, positives, n):
-    """Binary-gain DCG@N with 1/log2(rank+1) discounts, over the ideal DCG."""
-    positives = set(positives)
-    if not positives:
-        raise EvaluationError("ndcg_at_n needs a non-empty positive set")
-    dcg = sum(
-        1.0 / math.log2(rank + 1)
-        for rank, item in enumerate(ranked[:n], start=1)
-        if item in positives
-    )
-    ideal = sum(1.0 / math.log2(rank + 1) for rank in range(1, min(len(positives), n) + 1))
-    return dcg / ideal
-
-
 # Positive x candidate comparisons per block of tasks in evaluate_tasks; this
 # bounds its padded blocks and comparison temporaries to about a megabyte.
 _BLOCK_PAIRS = 1 << 15
@@ -200,7 +177,8 @@ def evaluate_tasks(tasks, scorer, n_values):
     many candidates beat it: a higher score, or an equal score and a lower
     id, the order of rank_candidates. DCG sums run in rank order and the
     means over tasks in task order, each from 0.0, so the results equal
-    hit_ratio_at_n and ndcg_at_n over rank_candidates, task by task.
+    the scalar HR@N and NDCG@N of rank_candidates' order, task by task
+    (`hit_ratio_at_n` and `ndcg_at_n` in tests/oracle.py).
     """
     sums = {(m, n): 0.0 for m in ("hr", "ndcg") for n in n_values}
     if not all(map(len, (t.positives for t in tasks))):

@@ -107,11 +107,6 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
 # loss
 
 
-def bpr_pair_loss(score_pos, score_neg):
-    """-ln sigmoid(score_pos - score_neg), computed as softplus(-margin)."""
-    return float(np.logaddexp(0.0, -(score_pos - score_neg)))
-
-
 def _pair_terms(U, V, batch):
     """(mean pairwise loss, U[users], V[pos] - V[neg], score margins) of a non-empty batch."""
     Uu = U[batch.users]
@@ -124,23 +119,16 @@ def _reg_term(params, lambda_reg):
     return lambda_reg * (float(np.sum(params["P"] ** 2)) + float(np.sum(params["Q"] ** 2)))
 
 
-def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0):
-    """Mean pairwise loss over the batch plus lambda * (|P|^2 + |Q|^2).
-
-    The regularizer is added once per batch, not scaled by batch size; an
-    empty batch contributes a vacuous mean of 0. Forward only, for the
-    finite-difference check.
-    """
-    U, V, _ = M.forward_all(params, hypers, bundle)
-    return (_pair_terms(U, V, batch)[0] if batch else 0.0) + _reg_term(params, lambda_reg)
-
-
 # ---------------------------------------------------------------------------
 # manual reverse mode
 
 
 def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
-    """(batch_loss, its gradients) from one forward_all; one set of margins serves both.
+    """(loss, gradients) of one batch from one forward_all; one set of margins serves both.
+
+    The loss is the batch's mean of -ln sigmoid(margin), 0 for an empty
+    batch, plus lambda * (|P|^2 + |Q|^2), added once and not scaled by the
+    batch size.
 
     ReLU'(z) is taken as relu(z) > 0, which equals z > 0 (subgradient 0 at
     the kink), so the pre-activations need not be kept.
@@ -212,89 +200,6 @@ def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
     grads["P"] += 2.0 * lambda_reg * params["P"]
     grads["Q"] += 2.0 * lambda_reg * params["Q"]
     return loss, grads
-
-
-def compute_gradients(params, hypers, bundle, batch, lambda_reg=0.0):
-    """Exact gradients of batch_loss w.r.t. every model tensor."""
-    _, grads = _loss_and_gradients(params, hypers, bundle, batch, lambda_reg)
-    if not grads.all_finite():
-        raise DivergenceError("non-finite gradient")
-    return grads
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-@dataclass
-class FDReport:
-    max_rel_err: float
-    passed: bool
-    coords_checked: int
-    worst_tensor: str
-    attempts: int
-
-
-def finite_difference_check(
-    params,
-    hypers,
-    bundle,
-    batch,
-    h=1e-5,
-    tol=1e-4,
-    lambda_reg=0.0,
-    max_coords=4000,
-    seed=0,
-    loss_fn=None,
-    grad_fn=None,
-    retries=2,
-    jitter=1e-3,
-):
-    """Compare analytic gradients against central finite differences.
-
-    Error per coordinate is |analytic - fd| / max(|analytic|, |fd|, 1).
-    If the check lands on a ReLU/max kink it retries at a jittered point.
-    loss_fn/grad_fn can be injected to self-test the harness.
-    """
-    if loss_fn is None:
-        loss_fn = lambda p: batch_loss(p, hypers, bundle, batch, lambda_reg)
-    if grad_fn is None:
-        grad_fn = lambda p: compute_gradients(p, hypers, bundle, batch, lambda_reg)
-    rng = np.random.default_rng(seed)
-    work = params.copy()
-    report = None
-    for attempt in range(retries + 1):
-        grads = grad_fn(work)
-        max_err = 0.0
-        worst = ""
-        checked = 0
-        for name in work.trainable_names():
-            arr = work[name]
-            flat_idx = np.arange(arr.size)
-            if max_coords is not None and arr.size > max_coords:
-                flat_idx = rng.choice(arr.size, size=max_coords, replace=False)
-            garr = grads[name].ravel()
-            for idx in flat_idx:
-                orig = arr.flat[idx]
-                arr.flat[idx] = orig + h
-                up = loss_fn(work)
-                arr.flat[idx] = orig - h
-                down = loss_fn(work)
-                arr.flat[idx] = orig
-                fd = (up - down) / (2.0 * h)
-                g = garr[idx]
-                err = abs(g - fd) / max(abs(g), abs(fd), 1.0)
-                checked += 1
-                if err > max_err:
-                    max_err = err
-                    worst = name
-        report = FDReport(max_err, max_err < tol, checked, worst, attempt + 1)
-        if report.passed or attempt == retries:
-            return report
-        # jitter away from a suspected kink and retry
-        for name in work.trainable_names():
-            work[name] = work[name] + rng.uniform(-jitter, jitter, size=work[name].shape)
-    return report
 
 
 # ---------------------------------------------------------------------------

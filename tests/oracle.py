@@ -11,16 +11,25 @@ quantities one entity (or tensor) at a time, with the checks of the scalar
 definitions, so tests can compare the two. `synthetic_tables` here is the
 generator as it was before the per-cluster rewrite, one
 `Generator.choice` per user.
+
+Two gates live here too. `finite_difference_check` compares the package's
+hand-written backward (`training._loss_and_gradients`, through
+`compute_gradients`) with central differences of `batch_loss`, which
+evaluates the same loss terms forward only. `hit_ratio_at_n` and
+`ndcg_at_n` are the scalar metric definitions over one ranked list, which
+the oracle `evaluate_tasks` applies task by task.
 """
 import hashlib
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from socialgcn import data as D
 from socialgcn import evaluation as E
 from socialgcn import model as M
+from socialgcn import training as T
 from socialgcn.data import DataError, _parse_header
 from socialgcn.training import DivergenceError
 
@@ -168,7 +177,7 @@ def aggregate_max(layer, social):
     out = np.zeros_like(layer)
     winners = np.full(layer.shape, -1)
     cols = np.arange(layer.shape[1])
-    for a, nbrs in enumerate(social.followees_by_user):
+    for a, nbrs in enumerate(D.Rows(social)):
         if nbrs:
             nbrs = np.asarray(nbrs)
             block = layer[nbrs]
@@ -176,6 +185,105 @@ def aggregate_max(layer, social):
             winners[a] = nbrs[best]
             out[a] = block[best, cols]
     return out, winners
+
+
+# ---------------------------------------------------------------------------
+# scalar loss, forward-only batch loss and the finite-difference gradient check
+
+
+def bpr_pair_loss(score_pos, score_neg):
+    """-ln sigmoid(score_pos - score_neg), computed as softplus(-margin)."""
+    return float(np.logaddexp(0.0, -(score_pos - score_neg)))
+
+
+def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0):
+    """Mean pairwise loss over the batch plus lambda * (|P|^2 + |Q|^2).
+
+    The regularizer is added once per batch, not scaled by batch size; an
+    empty batch contributes a vacuous mean of 0. Forward only, for the
+    finite-difference check.
+    """
+    U, V, _ = M.forward_all(params, hypers, bundle)
+    return (T._pair_terms(U, V, batch)[0] if batch else 0.0) + T._reg_term(params, lambda_reg)
+
+
+def compute_gradients(params, hypers, bundle, batch, lambda_reg=0.0):
+    """Exact gradients of batch_loss w.r.t. every model tensor."""
+    _, grads = T._loss_and_gradients(params, hypers, bundle, batch, lambda_reg)
+    if not grads.all_finite():
+        raise DivergenceError("non-finite gradient")
+    return grads
+
+
+@dataclass
+class FDReport:
+    max_rel_err: float
+    passed: bool
+    coords_checked: int
+    worst_tensor: str
+    attempts: int
+
+
+def finite_difference_check(
+    params,
+    hypers,
+    bundle,
+    batch,
+    h=1e-5,
+    tol=1e-4,
+    lambda_reg=0.0,
+    max_coords=4000,
+    seed=0,
+    loss_fn=None,
+    grad_fn=None,
+    retries=2,
+    jitter=1e-3,
+):
+    """Compare analytic gradients against central finite differences.
+
+    Error per coordinate is |analytic - fd| / max(|analytic|, |fd|, 1).
+    If the check lands on a ReLU/max kink it retries at a jittered point.
+    loss_fn/grad_fn can be injected to self-test the harness.
+    """
+    if loss_fn is None:
+        loss_fn = lambda p: batch_loss(p, hypers, bundle, batch, lambda_reg)
+    if grad_fn is None:
+        grad_fn = lambda p: compute_gradients(p, hypers, bundle, batch, lambda_reg)
+    rng = np.random.default_rng(seed)
+    work = params.copy()
+    report = None
+    for attempt in range(retries + 1):
+        grads = grad_fn(work)
+        max_err = 0.0
+        worst = ""
+        checked = 0
+        for name in work.trainable_names():
+            arr = work[name]
+            flat_idx = np.arange(arr.size)
+            if max_coords is not None and arr.size > max_coords:
+                flat_idx = rng.choice(arr.size, size=max_coords, replace=False)
+            garr = grads[name].ravel()
+            for idx in flat_idx:
+                orig = arr.flat[idx]
+                arr.flat[idx] = orig + h
+                up = loss_fn(work)
+                arr.flat[idx] = orig - h
+                down = loss_fn(work)
+                arr.flat[idx] = orig
+                fd = (up - down) / (2.0 * h)
+                g = garr[idx]
+                err = abs(g - fd) / max(abs(g), abs(fd), 1.0)
+                checked += 1
+                if err > max_err:
+                    max_err = err
+                    worst = name
+        report = FDReport(max_err, max_err < tol, checked, worst, attempt + 1)
+        if report.passed or attempt == retries:
+            return report
+        # jitter away from a suspected kink and retry
+        for name in work.trainable_names():
+            work[name] = work[name] + rng.uniform(-jitter, jitter, size=work[name].shape)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +599,37 @@ def synthetic_tables(spec):
 # per-task ranking metrics
 
 
+def hit_ratio_at_n(ranked, positives, n):
+    """|top-N intersect positives| / |positives|."""
+    positives = set(positives)
+    if not positives:
+        raise E.EvaluationError("hit_ratio_at_n needs a non-empty positive set")
+    hits = sum(1 for item in ranked[:n] if item in positives)
+    return hits / len(positives)
+
+
+def ndcg_at_n(ranked, positives, n):
+    """Binary-gain DCG@N with 1/log2(rank+1) discounts, over the ideal DCG."""
+    positives = set(positives)
+    if not positives:
+        raise E.EvaluationError("ndcg_at_n needs a non-empty positive set")
+    dcg = sum(
+        1.0 / math.log2(rank + 1)
+        for rank, item in enumerate(ranked[:n], start=1)
+        if item in positives
+    )
+    ideal = sum(1.0 / math.log2(rank + 1) for rank in range(1, min(len(positives), n) + 1))
+    return dcg / ideal
+
+
 def evaluate_tasks(tasks, scorer, n_values):
     """Mean metrics over tasks given scorer(task) -> candidate score array."""
     sums = {(m, n): 0.0 for m in ("hr", "ndcg") for n in n_values}
     for task in tasks:
         ranked = E.rank_candidates(task.candidates, scorer(task))
         for n in n_values:
-            sums[("hr", n)] += E.hit_ratio_at_n(ranked, task.positives, n)
-            sums[("ndcg", n)] += E.ndcg_at_n(ranked, task.positives, n)
+            sums[("hr", n)] += hit_ratio_at_n(ranked, task.positives, n)
+            sums[("ndcg", n)] += ndcg_at_n(ranked, task.positives, n)
     count = max(len(tasks), 1)
     return {key: value / count for key, value in sums.items()}
 

@@ -723,6 +723,31 @@ def test_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypa
     assert capsys.readouterr() == ("", f"config error: cannot write {out}: {afile} is not a directory\n")
 
 
+@pytest.mark.parametrize(
+    "command,source",
+    [(c, s) for c in ("train", "evaluate", "ablate") for s in ("config", "flag")] + [("synth", "flag")],
+)
+def test_empty_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, source):
+    monkeypatch.setattr(T, "train", lambda *args: pytest.fail("trained before checking the output path"))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if source == "config":
+        cfg, extra = write_config(tmp_path, output_dir=""), []
+    else:
+        cfg, extra = write_config(tmp_path), ["--output-dir", ""]
+    argv = {
+        "train": ["train", "--config", cfg, *extra],
+        "evaluate": ["evaluate", "--config", cfg, "--checkpoint", "missing.bin", *extra],
+        "ablate": ["ablate", "--config", cfg, *extra],
+        "synth": ["synth", "--out", ""],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    name = "--out" if command == "synth" else "output_dir"
+    assert capsys.readouterr() == ("", f"config error: {name} must not be empty\n")
+    assert list(work.iterdir()) == []
+
+
 def values(*choices):
     return st.sampled_from(choices)
 
@@ -769,8 +794,8 @@ def fuzz_files(tmp_path_factory):
     return {
         "--config": [write_config(root, name="run.cfg", **small), str(root / "afile"), str(root / "missing.cfg")],
         "--checkpoint": [str(root / "model" / "checkpoint.bin"), str(root / "afile"), str(root / "missing.bin")],
-        "--output-dir": [str(root / "out"), str(root / "afile"), str(root / "afile" / "sub")],
-        "--out": [str(root / "synth"), str(root / "afile")],
+        "--output-dir": [str(root / "out"), str(root / "afile"), str(root / "afile" / "sub"), ""],
+        "--out": [str(root / "synth"), str(root / "afile"), ""],
     }
 
 

@@ -71,7 +71,7 @@ class TestLoadSocial:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "s.tsv", "0\t1\n0\t2\n")
         g = D.load_social(path)
-        assert list(g.followees_by_user) == [[1, 2], [], []]
+        assert list(D.Rows(g)) == [[1, 2], [], []]
 
     def test_self_loop(self, tmp_path):
         path = write(tmp_path, "s.tsv", "3\t3\n")
@@ -96,7 +96,7 @@ class TestLoadSocial:
         path = write(tmp_path, "s.tsv", "users=4\n")
         g = D.load_social(path)
         assert g.num_users == 4
-        assert all(not s for s in g.followees_by_user)
+        assert all(not s for s in D.Rows(g))
 
 
 class TestLoadFeatures:

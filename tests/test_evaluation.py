@@ -31,32 +31,32 @@ def brute_force_metrics(candidates, scores, positives, n):
 class TestHitRatio:
     def test_single_positive_inside_top(self):
         ranked = list(range(20))
-        assert E.hit_ratio_at_n(ranked, {2}, 10) == 1.0
+        assert O.hit_ratio_at_n(ranked, {2}, 10) == 1.0
 
     def test_single_positive_outside_top(self):
         ranked = list(range(20))
-        assert E.hit_ratio_at_n(ranked, {10}, 10) == 0.0
+        assert O.hit_ratio_at_n(ranked, {10}, 10) == 0.0
 
     def test_half_of_two_positives(self):
         ranked = list(range(20))
-        assert E.hit_ratio_at_n(ranked, {3, 11}, 5) == 0.5
+        assert O.hit_ratio_at_n(ranked, {3, 11}, 5) == 0.5
 
     def test_empty_positives_rejected(self):
         with pytest.raises(E.EvaluationError):
-            E.hit_ratio_at_n([1, 2], set(), 5)
+            O.hit_ratio_at_n([1, 2], set(), 5)
 
 
 class TestNdcg:
     def test_rank_one_is_ideal(self):
-        assert E.ndcg_at_n([7, 1, 2], {7}, 10) == 1.0
+        assert O.ndcg_at_n([7, 1, 2], {7}, 10) == 1.0
 
     def test_rank_two_closed_form(self):
-        assert E.ndcg_at_n([1, 7, 2], {7}, 10) == pytest.approx(
+        assert O.ndcg_at_n([1, 7, 2], {7}, 10) == pytest.approx(
             0.6309297535714574, rel=1e-12
         )
 
     def test_two_positives_on_top(self):
-        assert E.ndcg_at_n([4, 9, 1, 2], {4, 9}, 2) == 1.0
+        assert O.ndcg_at_n([4, 9, 1, 2], {4, 9}, 2) == 1.0
 
     def test_hr_monotone_in_n(self):
         rng = np.random.default_rng(0)
@@ -65,7 +65,7 @@ class TestNdcg:
             positives = set(rng.choice(15, size=4, replace=False).tolist())
             hr_prev = 0.0
             for n in range(1, 16):
-                hr = E.hit_ratio_at_n(ranked, positives, n)
+                hr = O.hit_ratio_at_n(ranked, positives, n)
                 assert hr >= hr_prev - 1e-12
                 hr_prev = hr
 
@@ -79,7 +79,7 @@ class TestNdcg:
             positives = {int(rng.integers(15))}
             prev = 0.0
             for n in range(1, 16):
-                nd = E.ndcg_at_n(ranked, positives, n)
+                nd = O.ndcg_at_n(ranked, positives, n)
                 assert nd >= prev - 1e-12
                 prev = nd
 
@@ -96,8 +96,8 @@ class TestBruteForceOracle:
             n = int(rng.integers(1, n_cand + 2))
             ranked = E.rank_candidates(candidates, scores)
             hr_bf, ndcg_bf = brute_force_metrics(candidates, scores, positives, n)
-            assert E.hit_ratio_at_n(ranked, positives, n) == hr_bf
-            assert E.ndcg_at_n(ranked, positives, n) == pytest.approx(ndcg_bf, abs=1e-12)
+            assert O.hit_ratio_at_n(ranked, positives, n) == hr_bf
+            assert O.ndcg_at_n(ranked, positives, n) == pytest.approx(ndcg_bf, abs=1e-12)
 
 
 class TestRankCandidates:
@@ -285,7 +285,7 @@ class TestEvaluate:
             candidates = list(range(201))
             scores = rng.normal(size=201)
             ranked = E.rank_candidates(candidates, scores)
-            hits += E.hit_ratio_at_n(ranked, {0}, 10)
+            hits += O.hit_ratio_at_n(ranked, {0}, 10)
         p = 10 / 201
         sigma = math.sqrt(p * (1 - p) / n_tasks)
         assert abs(hits / n_tasks - p) < 3 * sigma

@@ -254,7 +254,7 @@ class TestUserEmbeddingAndPredict:
         for k in range(hy.K):
             for a in range(8):
                 agg = O.aggregate_neighbors(
-                    state.layers[k], bundle.social.followees_by_user[a], hy.aggregator
+                    state.layers[k], D.Rows(bundle.social)[a], hy.aggregator
                 )
                 hk = O.convolve_layer(params, k, agg, state.layers[k][a])
                 np.testing.assert_allclose(state.layers[k + 1][a], hk, rtol=1e-12, atol=1e-15)
@@ -385,7 +385,7 @@ def khop_reachable(social, K):
         for _ in range(K):
             nxt = set()
             for u in frontier:
-                nxt.update(social.followees_by_user[u])
+                nxt.update(D.Rows(social)[u])
             frontier = nxt - seen
             seen |= nxt
         reach.append(seen)

@@ -92,30 +92,30 @@ class TestSamplePairs:
 
 class TestPairLoss:
     def test_equal_scores_ln2(self):
-        assert T.bpr_pair_loss(1.3, 1.3) == pytest.approx(LN2, rel=1e-12)
+        assert O.bpr_pair_loss(1.3, 1.3) == pytest.approx(LN2, rel=1e-12)
 
     def test_large_positive_margin(self):
         # softplus(-20), frozen from a 40-digit mpmath evaluation
-        assert T.bpr_pair_loss(20.0, 0.0) == pytest.approx(2.061153620314381e-09, rel=1e-9)
+        assert O.bpr_pair_loss(20.0, 0.0) == pytest.approx(2.061153620314381e-09, rel=1e-9)
 
     def test_large_negative_margin(self):
-        assert T.bpr_pair_loss(0.0, 20.0) == pytest.approx(20.000000002061154, rel=1e-12)
+        assert O.bpr_pair_loss(0.0, 20.0) == pytest.approx(20.000000002061154, rel=1e-12)
 
     @given(finite, finite)
     @settings(max_examples=100, deadline=None)
     def test_positive_and_decreasing(self, a, b):
-        assert T.bpr_pair_loss(a, b) > 0.0
-        assert T.bpr_pair_loss(a + 1.0, b) < T.bpr_pair_loss(a, b)
+        assert O.bpr_pair_loss(a, b) > 0.0
+        assert O.bpr_pair_loss(a + 1.0, b) < O.bpr_pair_loss(a, b)
 
     @given(finite, finite)
     @settings(max_examples=100, deadline=None)
     def test_antisymmetry_bound(self, a, b):
-        both = T.bpr_pair_loss(a, b) + T.bpr_pair_loss(b, a)
+        both = O.bpr_pair_loss(a, b) + O.bpr_pair_loss(b, a)
         assert both >= 2 * LN2 - 1e-12
 
     def test_antisymmetry_equality_iff_equal(self):
-        assert T.bpr_pair_loss(2.0, 2.0) * 2 == pytest.approx(2 * LN2, rel=1e-12)
-        assert T.bpr_pair_loss(2.0, 2.1) + T.bpr_pair_loss(2.1, 2.0) > 2 * LN2 + 1e-6
+        assert O.bpr_pair_loss(2.0, 2.0) * 2 == pytest.approx(2 * LN2, rel=1e-12)
+        assert O.bpr_pair_loss(2.0, 2.1) + O.bpr_pair_loss(2.1, 2.0) > 2 * LN2 + 1e-6
 
 
 class TestBatchLoss:
@@ -126,7 +126,7 @@ class TestBatchLoss:
         for name in params.names():
             params[name] = np.zeros_like(params[name])
         samples, _ = T.sample_pairs(bundle.train, 2, rng_seed=0)
-        assert T.batch_loss(params, hy, bundle, samples, 0.0) == pytest.approx(LN2, rel=1e-12)
+        assert O.batch_loss(params, hy, bundle, samples, 0.0) == pytest.approx(LN2, rel=1e-12)
 
     def test_empty_batch_is_reg_only(self):
         bundle = tiny_bundle(seed=3)
@@ -134,7 +134,7 @@ class TestBatchLoss:
         params = M.init_params(hy, bundle.num_users, bundle.num_items, 8, 8, seed=1)
         lam = 0.01
         expected = lam * (np.sum(params["P"] ** 2) + np.sum(params["Q"] ** 2))
-        assert T.batch_loss(params, hy, bundle, [], lam) == pytest.approx(expected, rel=1e-12)
+        assert O.batch_loss(params, hy, bundle, [], lam) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_scalar_recompute(self):
         bundle = tiny_bundle(seed=4)
@@ -167,7 +167,7 @@ class TestBatchLoss:
         expected = total / len(batch) + lam * (
             np.sum(params["P"] ** 2) + np.sum(params["Q"] ** 2)
         )
-        assert T.batch_loss(params, hy, bundle, batch, lam) == pytest.approx(expected, rel=1e-10)
+        assert O.batch_loss(params, hy, bundle, batch, lam) == pytest.approx(expected, rel=1e-10)
 
 
 class TestGradients:
@@ -177,7 +177,7 @@ class TestGradients:
         params = M.init_params(hy, bundle.num_users, bundle.num_items, seed=4)
         params[M.layer_weight_name(0)] = np.zeros((3, 6))
         samples, _ = T.sample_pairs(bundle.train, 1, rng_seed=0)
-        grads = T.compute_gradients(params, hy, bundle, samples[:4])
+        grads = O.compute_gradients(params, hy, bundle, samples[:4])
         # all h^1 = ReLU(0) = 0 and ReLU'(0) = 0, so W^0 gets no gradient
         assert np.array_equal(grads[M.layer_weight_name(0)], np.zeros((3, 6)))
 
@@ -196,7 +196,7 @@ class TestGradients:
         )
         hy = M.HyperParams(D=2, L=2, K=1)
         params = M.init_params(hy, 3, 2, 2, 2, seed=5)
-        rep = T.finite_difference_check(
+        rep = O.finite_difference_check(
             params, hy, bundle, pairs((0, 0, 1)), lambda_reg=1e-4
         )
         assert rep.passed, f"max rel err {rep.max_rel_err} ({rep.worst_tensor})"
@@ -211,7 +211,7 @@ class TestGradients:
                        next(j for j in range(8) if j not in bundle.train.positives_by_user[0])))
         touched = {int(batch.pos[0]), int(batch.neg[0])}
         touched.update(bundle.train.positives_by_user[0])
-        grads = T.compute_gradients(params, hy, bundle, batch, lambda_reg=lam)
+        grads = O.compute_gradients(params, hy, bundle, batch, lambda_reg=lam)
         for i in range(8):
             if i in touched:
                 continue
@@ -223,7 +223,7 @@ class TestGradients:
         hy = M.HyperParams(D=3, L=2, K=2)
         params = M.init_params(hy, bundle.num_users, bundle.num_items, 8, 8, seed=7)
         lam = 0.005
-        grads = T.compute_gradients(params, hy, bundle, [], lambda_reg=lam)
+        grads = O.compute_gradients(params, hy, bundle, [], lambda_reg=lam)
         np.testing.assert_allclose(grads["P"], 2 * lam * params["P"], rtol=1e-12)
         np.testing.assert_allclose(grads["Q"], 2 * lam * params["Q"], rtol=1e-12)
         for name in ("F", "W0", M.layer_weight_name(0), M.layer_weight_name(1)):
@@ -248,14 +248,14 @@ class TestGradients:
             M.layer_weight_name(0): np.full((2, 4), 0.5),
         })
         batch = pairs((0, 0, 1))
-        tied = T.compute_gradients(params, hy, bundle, batch)
+        tied = O.compute_gradients(params, hy, bundle, batch)
         assert tied["P"][1, 0] != 0.0
         assert tied["P"][2, 0] == 0.0
         # column 1 has a unique winner, user 2
         assert tied["P"][1, 1] == 0.0 and tied["P"][2, 1] != 0.0
         # breaking the tie in user 1's favour leaves every gradient unchanged
         params["P"][2, 0] = 0.4
-        untied = T.compute_gradients(params, hy, bundle, batch)
+        untied = O.compute_gradients(params, hy, bundle, batch)
         for name in params.names():
             assert np.array_equal(tied[name], untied[name])
 
@@ -273,7 +273,7 @@ class TestGradients:
                     hy = M.HyperParams(D=3, L=L, K=K, feature_mode=mode, aggregator=agg)
                     params = M.init_params(hy, 5, 4, 8, 8, seed=case)
                     samples, _ = T.sample_pairs(bundle.train, 2, rng_seed=case)
-                    rep = T.finite_difference_check(
+                    rep = O.finite_difference_check(
                         params, hy, bundle, samples[:6], lambda_reg=1e-4, seed=case
                     )
                     assert rep.passed, (K, mode, agg, rep.max_rel_err, rep.worst_tensor)
@@ -293,14 +293,14 @@ class TestFiniteDifferenceHarness:
             g["b"] = 6.0 * p["b"]
             return g
 
-        rep = T.finite_difference_check(
+        rep = O.finite_difference_check(
             params, None, None, [], loss_fn=loss_fn, grad_fn=grad_fn, tol=1e-9
         )
         assert rep.passed and rep.max_rel_err < 1e-9
 
     def test_zero_tolerance_always_fails(self):
         params = M.ModelParams({"a": np.array([1.0])})
-        rep = T.finite_difference_check(
+        rep = O.finite_difference_check(
             params,
             None,
             None,
