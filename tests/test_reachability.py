@@ -11,16 +11,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _modules():
-    package = sorted(p for p in (ROOT / "src" / "socialgcn").glob("*.py") if p.name != "__init__.py")
-    return package, sorted((ROOT / "perfbench").glob("*.py"))
-
-
 def unreferenced_names():
     """Sorted module-level function and class names of the package that no scanned file refers to."""
-    package, perfbench = _modules()
+    package = sorted(p for p in (ROOT / "src" / "socialgcn").glob("*.py") if p.name != "__init__.py")
     defined, used = set(), set()
-    for path in package + perfbench:
+    for path in package + sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         if path in package:
             defined.update(
