@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -449,6 +450,28 @@ class TestTrain:
             h.update(name.encode())
             h.update(params[name].astype("<f8").tobytes())
         assert h.hexdigest() == digest
+
+    def test_max_trained_parameters_over_mixed_degrees_are_pinned(self):
+        # out-degrees 0, 1, 2-3, 4-7, 8-15, 16-31 and >= 64, so the max
+        # aggregator's followee lists span many lengths; frozen like the above
+        base = D.generate_synthetic(D.SyntheticSpec(users=80, items=30, seed=9))
+        rng = np.random.default_rng(16)
+        degrees = [0, 1, 2, 3, 4, 7, 9, 20, 64, 79]
+        followers, followees = [], []
+        for a in range(base.num_users):
+            others = np.delete(np.arange(base.num_users), a)
+            chosen = rng.choice(others, size=degrees[a % len(degrees)], replace=False)
+            followers += [a] * len(chosen)
+            followees += chosen.tolist()
+        social = D.SocialGraph.from_arrays(followers, followees, base.num_users)
+        bundle = dataclasses.replace(base, social=social)
+        hy = M.HyperParams(D=4, L=3, K=2, aggregator="max")
+        params, _ = T.train(bundle, hy, self.train_config(max_epochs=1))
+        h = hashlib.sha256()
+        for name, value in params.items():
+            h.update(name.encode())
+            h.update(value.astype("<f8").tobytes())
+        assert h.hexdigest() == "9de8ad998d4cfda9560f3f24bd493e37117337a2e8dd4df736b03d0ad69fbb41"
 
     def test_zero_epochs_returns_init(self):
         bundle = tiny_bundle(users=10, items=8, seed=31)
