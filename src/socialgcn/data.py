@@ -211,6 +211,25 @@ class SocialGraph(_Table):
     def shape(self):
         return self.num_users, self.num_users
 
+    @functools.cached_property
+    def followee_bands(self):
+        """The non-empty rows grouped by out-degree band [2^j, 2^(j+1)): a list of (rows, ids).
+
+        rows holds the band's row ids, ascending. ids is a (width, len(rows))
+        int64 matrix: column r holds row rows[r]'s followees in order, padded
+        to the band's largest degree with copies of the row's first followee.
+        """
+        degree = np.diff(self.indptr)
+        nonempty = np.flatnonzero(degree)
+        band = np.frexp(degree[nonempty])[1]  # j + 1 for a degree in [2^j, 2^(j+1))
+        out = []
+        for j in np.unique(band):
+            rows = nonempty[band == j]
+            count = degree[rows]
+            slot = np.arange(count.max())[:, None]
+            out.append((rows, self.indices[self.indptr[rows] + np.where(slot < count, slot, 0)]))
+        return out
+
 
 @dataclass
 class FeatureTable:

@@ -184,35 +184,32 @@ class DiffusionState:
 def aggregate_all(layer, social, aggregator=AGG_AVERAGE):
     """Pool every user's followees' vectors; an empty ego net gives zeros.
 
-    Returns (aggregate, winners). The average aggregator is `social.row_mean`;
-    the max aggregator reads the followee rows of `social`. It picks a
-    column's winner as argmax does: the first NaN, or else the lowest
-    followee id among the tied maxima.
+    Returns (aggregate, winners). The average aggregator is `social.row_mean`.
+    The max aggregator runs over `social.followee_bands`: per degree band,
+    one gather of the padded followee ids, one reduce over the followee
+    slots, and the first slot that holds the maximum. It picks a column's
+    winner as argmax does: the first NaN, or else the lowest followee id
+    among the tied maxima. A pad copies the row's first followee, so it
+    never moves the first hit.
     """
     if aggregator == AGG_AVERAGE:
         return social.row_mean @ layer, None
     out = np.zeros_like(layer)
     winners = np.full(layer.shape, -1)
-    indptr, indices = social.indptr, social.indices
-    degree = np.diff(indptr)
-    rows = np.flatnonzero(degree)
-    if len(rows) == 0:
-        return out, winners
-    # the non-empty rows' followee lists are contiguous in indices, so
-    # each reduceat segment runs from its row's start to the next one's
-    starts = indptr[rows]
-    vals = layer[indices]
-    seg_max = np.maximum.reduceat(vals, starts, axis=0)
-    # first position not below the maximum: argmax's winner
-    top = np.repeat(seg_max, degree[rows], axis=0)
-    below = vals < top
-    if np.isnan(seg_max).any():
-        below |= np.isnan(top) & ~np.isnan(vals)  # below a NaN maximum: every number
-    position = np.where(below, len(vals), np.arange(len(vals))[:, None])
-    first = np.minimum.reduceat(position, starts, axis=0)
-    winners[rows] = indices[first]
-    # gathered rather than taken from seg_max, which may hold the other zero sign
-    out[rows] = layer[winners[rows], np.arange(layer.shape[1])]
+    cols = np.arange(layer.shape[1])
+    for rows, ids in social.followee_bands:
+        width = len(ids)
+        g = layer[ids]  # (width, rows, D)
+        best = np.maximum.reduce(g, axis=0)
+        hit = g == best
+        if np.isnan(best).any():
+            hit |= np.isnan(g) & np.isnan(best)  # a NaN maximum is hit by every NaN
+        # slot s scores width - s where it hits, so the largest score is the first hit
+        score = np.arange(width, 0, -1, dtype=np.min_scalar_type(width))
+        first = width - np.max(hit * score[:, None, None], axis=0)
+        winners[rows] = ids[first, np.arange(len(rows))[:, None]]
+        # gathered rather than taken from best, which may hold the other zero sign
+        out[rows] = layer[winners[rows], cols]
     return out, winners
 
 

@@ -322,6 +322,18 @@ def social_from_edges(edges, num_users=None):
     return D.SocialGraph(num_users, *_csr_of(out))
 
 
+def social_with_degrees(degrees, rng):
+    """SocialGraph on len(degrees) users where user a follows degrees[a] others, drawn by `rng`."""
+    num_users = len(degrees)
+    followers, followees = [], []
+    for a, degree in enumerate(degrees):
+        others = np.delete(np.arange(num_users), a)
+        chosen = rng.choice(others, size=degree, replace=False)
+        followers += [a] * len(chosen)
+        followees += chosen.tolist()
+    return D.SocialGraph.from_arrays(followers, followees, num_users)
+
+
 def _csr_of(rows):
     """(indptr, indices) int64 arrays of per-row lists, one row at a time."""
     indptr, indices = [0], []

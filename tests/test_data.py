@@ -641,6 +641,25 @@ class TestArrayConstructors:
 
     @settings(max_examples=100, deadline=None)
     @given(
+        degrees=st.lists(st.integers(0, 3) | st.integers(4, 70), min_size=1, max_size=90),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_followee_bands_hold_each_row_once_in_order(self, degrees, seed):
+        degrees += [0] * (max(degrees) + 1 - len(degrees))  # enough users to follow
+        social = O.social_with_degrees(degrees, np.random.default_rng(seed))
+        followees, degree, seen = D.Rows(social), np.diff(social.indptr), []
+        for rows, ids in social.followee_bands:
+            assert rows.dtype == ids.dtype == np.int64
+            assert ids.shape == (degree[rows].max(), len(rows))
+            assert len(set(np.frexp(degree[rows])[1].tolist())) == 1  # one power-of-two band
+            for column, a in enumerate(rows.tolist()):
+                assert ids[: degree[a], column].tolist() == followees[a]
+                assert (ids[degree[a] :, column] == followees[a][0]).all()
+            seen += rows.tolist()
+        assert sorted(seen) == np.flatnonzero(degree).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
         edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 14)), min_size=1, max_size=60),
         seed=st.integers(0, 2**32 - 1),
         test_fraction=st.sampled_from([0.1, 0.25, 0.5]),

@@ -128,6 +128,14 @@ class TestUserBaseEmbedding:
         np.testing.assert_allclose(h0, matvec_oracle(W0, np.concatenate([x, p]), b), rtol=1e-12)
 
 
+def assert_max_matches_oracle(layer, social):
+    out, winners = M.aggregate_all(layer, social, M.AGG_MAX)
+    want_out, want_winners = O.aggregate_max(layer, social)
+    assert out.tobytes() == want_out.tobytes()
+    assert winners.dtype == want_winners.dtype
+    assert np.array_equal(winners, want_winners)
+
+
 class TestAggregation:
     def test_average(self):
         layer = np.array([[1.0, 1.0], [3.0, 3.0]])
@@ -164,11 +172,29 @@ class TestAggregation:
                 layer = rng.normal(size=(n, d))
             if case % 4 == 3:  # argmax's winner for a column holding NaN is its first NaN
                 layer[rng.random((n, d)) < 0.3] = np.nan
-            out, winners = M.aggregate_all(layer, social, M.AGG_MAX)
-            want_out, want_winners = O.aggregate_max(layer, social)
-            assert out.tobytes() == want_out.tobytes()
-            assert winners.dtype == want_winners.dtype
-            assert np.array_equal(winners, want_winners)
+            assert_max_matches_oracle(layer, social)
+        # heavy-tailed out-degrees: many degree bands, padded followee slots,
+        # and rows of degree 64 and more
+        for case in range(12):
+            n = int(rng.integers(70, 130))
+            degrees = np.minimum(rng.zipf(1.6, n) - 1, n - 1)
+            degrees[rng.integers(n)] = int(rng.integers(64, n))
+            social = O.social_with_degrees(degrees, rng)
+            assert len(social.followee_bands) >= 4
+            layer = rng.integers(-2, 3, size=(n, 3)).astype(float)
+            if case % 2:
+                layer[rng.random((n, 3)) < 0.1] = np.nan
+            assert_max_matches_oracle(layer, social)
+        # every row of the same degree, as in the synthetic data: one band, no pads
+        social = O.social_with_degrees([5] * 30, rng)
+        assert len(social.followee_bands) == 1
+        assert_max_matches_oracle(rng.integers(-1, 2, size=(30, 4)).astype(float), social)
+        # columns all -inf, and columns of signed-zero ties: the first winner's zero sign is kept
+        social = O.social_with_degrees(rng.integers(0, 40, size=40), rng)
+        layer = rng.choice([-0.0, 0.0], size=(40, 4))
+        layer[:, 0] = -np.inf
+        layer[:, 1] = rng.choice([-np.inf, -0.0, 0.0], size=40)
+        assert_max_matches_oracle(layer, social)
 
     def test_average_bounded_by_neighbor_range(self):
         rng = np.random.default_rng(4)

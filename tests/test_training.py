@@ -455,15 +455,8 @@ class TestTrain:
         # out-degrees 0, 1, 2-3, 4-7, 8-15, 16-31 and >= 64, so the max
         # aggregator's followee lists span many lengths; frozen like the above
         base = D.generate_synthetic(D.SyntheticSpec(users=80, items=30, seed=9))
-        rng = np.random.default_rng(16)
-        degrees = [0, 1, 2, 3, 4, 7, 9, 20, 64, 79]
-        followers, followees = [], []
-        for a in range(base.num_users):
-            others = np.delete(np.arange(base.num_users), a)
-            chosen = rng.choice(others, size=degrees[a % len(degrees)], replace=False)
-            followers += [a] * len(chosen)
-            followees += chosen.tolist()
-        social = D.SocialGraph.from_arrays(followers, followees, base.num_users)
+        degrees = [0, 1, 2, 3, 4, 7, 9, 20, 64, 79] * 8
+        social = O.social_with_degrees(degrees, np.random.default_rng(16))
         bundle = dataclasses.replace(base, social=social)
         hy = M.HyperParams(D=4, L=3, K=2, aggregator="max")
         params, _ = T.train(bundle, hy, self.train_config(max_epochs=1))
