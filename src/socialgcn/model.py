@@ -82,9 +82,6 @@ class ModelParams:
     def __contains__(self, name):
         return name in self._views
 
-    def names(self):
-        return list(self._views)
-
     def items(self):
         return self._views.items()
 

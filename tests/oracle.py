@@ -156,7 +156,7 @@ def adam_step(params, adam, grads, lr):
     adam.step += 1
     t = adam.step
     b1, b2 = adam.beta1, adam.beta2
-    for name in params.names():
+    for name, _ in params.items():
         g = grads[name]
         adam.m[name] = b1 * adam.m[name] + (1.0 - b1) * g
         adam.v[name] = b2 * adam.v[name] + (1.0 - b2) * g * g

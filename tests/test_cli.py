@@ -267,7 +267,7 @@ class TestCheckpoint:
         save_checkpoint(path, hy, params, "fp")
         ckpt = load_checkpoint(path)
         assert ckpt.hypers == hy
-        for name in params.names():
+        for name, _ in params.items():
             assert np.array_equal(ckpt.params[name], params[name])
 
     def test_truncated_payload_names_block(self, tmp_path):

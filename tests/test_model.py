@@ -51,7 +51,7 @@ class TestModelParams:
         assert params.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 9.0, -1.0, -2.0]
         assert params.trainable_mask().tolist() == [True] * 6 + [False] * 2
         for other in (params.copy(), params.zeros_like()):
-            assert other.names() == ["a", "b"] and other.frozen == {"b"}
+            assert [name for name, _ in other.items()] == ["a", "b"] and other.frozen == {"b"}
             other.flat[:] = 5.0
             assert np.array_equal(other["a"], np.full((2, 3), 5.0))
         assert params.flat[0] == 0.0
@@ -71,7 +71,7 @@ class TestModelParams:
     def test_param_shapes_are_init_params_layout(self, hypers):
         params = M.init_params(hypers, 7, 5, 4, 3, seed=1)
         shapes = M.param_shapes(hypers, 7, 5, 4, 3)
-        assert list(shapes.items()) == [(name, params[name].shape) for name in params.names()]
+        assert list(shapes.items()) == [(name, params[name].shape) for name, _ in params.items()]
 
 
 class TestItemEmbedding:

@@ -124,7 +124,7 @@ class TestBatchLoss:
         bundle = tiny_bundle(seed=3)
         hy = M.HyperParams(D=3, L=3, K=1, feature_mode=M.FEATURELESS)
         params = M.init_params(hy, bundle.num_users, bundle.num_items, seed=0)
-        for name in params.names():
+        for name, _ in params.items():
             params[name] = np.zeros_like(params[name])
         samples, _ = T.sample_pairs(bundle.train, 2, rng_seed=0)
         assert O.batch_loss(params, hy, bundle, samples, 0.0) == pytest.approx(LN2, rel=1e-12)
@@ -257,7 +257,7 @@ class TestGradients:
         # breaking the tie in user 1's favour leaves every gradient unchanged
         params["P"][2, 0] = 0.4
         untied = O.compute_gradients(params, hy, bundle, batch)
-        for name in params.names():
+        for name, _ in params.items():
             assert np.array_equal(tied[name], untied[name])
 
     def test_gradient_sweep_configurations(self):
@@ -433,7 +433,7 @@ class TestTrain:
             {k: v for k, v in r.items() if k != "wall_time"} for r in log
         ]
         assert strip(log1) == strip(log2)
-        for name in p1.names():
+        for name, _ in p1.items():
             assert np.array_equal(p1[name], p2[name])
 
     @pytest.mark.parametrize("aggregator,digest", [
@@ -446,7 +446,7 @@ class TestTrain:
         hy = M.HyperParams(D=4, L=3, K=2, aggregator=aggregator)
         params, _ = T.train(bundle, hy, self.train_config(max_epochs=1))
         h = hashlib.sha256()
-        for name in params.names():
+        for name, _ in params.items():
             h.update(name.encode())
             h.update(params[name].astype("<f8").tobytes())
         assert h.hexdigest() == digest
@@ -472,7 +472,7 @@ class TestTrain:
         params, log = T.train(bundle, hy, self.train_config(max_epochs=0))
         expected = M.init_params(hy, 10, 8, 8, 8, seed=0)
         assert log == []
-        for name in params.names():
+        for name, _ in params.items():
             assert np.array_equal(params[name], expected[name])
 
     def test_empty_training_data_rejected(self):
