@@ -165,8 +165,11 @@ class DiffusionState:
 
     layers[k] has shape (num_users, D); aggs[k] is the neighbor aggregate
     fed to layer k+1. For the max aggregator winners[k][a, c] is the
-    followee whose layer-k value won column c of aggs[k][a] (-1 for an
-    empty ego net); for the average aggregator winners[k] is None.
+    followee whose layer-k value won column c of aggs[k][a], as argmax
+    picks it over a's followees in id order (-1 for an empty ego net);
+    aggregate_all finds it per degree band of `social.followee_bands`, and
+    the backward adds each column's gradient to its winner's row. For the
+    average aggregator winners[k] is None.
     """
 
     layers: list[np.ndarray]
