@@ -207,9 +207,10 @@ def aggregate_all(layer, social, aggregator=AGG_AVERAGE):
         # slot s scores width - s where it hits, so the largest score is the first hit
         score = np.arange(width, 0, -1, dtype=np.min_scalar_type(width))
         first = width - np.max(hit * score[:, None, None], axis=0)
-        winners[rows] = ids[first, np.arange(len(rows))[:, None]]
+        won = ids[first, np.arange(len(rows))[:, None]]
+        winners[rows] = won
         # gathered rather than taken from best, which may hold the other zero sign
-        out[rows] = layer[winners[rows], cols]
+        out[rows] = layer[won, cols]
     return out, winners
 
 

@@ -189,7 +189,7 @@ class TestAggregation:
         social = O.social_with_degrees([5] * 30, rng)
         assert len(social.followee_bands) == 1
         assert_max_matches_oracle(rng.integers(-1, 2, size=(30, 4)).astype(float), social)
-        # columns all -inf, and columns of signed-zero ties: the first winner's zero sign is kept
+        # columns all -inf, and columns of signed-zero ties: the output keeps the winner's zero sign
         social = O.social_with_degrees(rng.integers(0, 40, size=40), rng)
         layer = rng.choice([-0.0, 0.0], size=(40, 4))
         layer[:, 0] = -np.inf
