@@ -475,6 +475,19 @@ class TestTrain:
         for name, _ in params.items():
             assert np.array_equal(params[name], expected[name])
 
+    def test_trained_parameters_without_validation_are_pinned(self):
+        # an empty validation split returns the last epoch's parameters; frozen like the above
+        base = D.generate_synthetic(D.SyntheticSpec(users=40, items=30, seed=9))
+        empty = D.InteractionMatrix.from_edges([], base.num_users, base.num_items)
+        bundle = dataclasses.replace(base, validation=empty)
+        params, log = T.train(bundle, M.HyperParams(D=4, L=3, K=2), self.train_config(max_epochs=2))
+        assert [math.isnan(rec["val_ndcg10"]) for rec in log] == [True, True]
+        h = hashlib.sha256()
+        for name, value in params.items():
+            h.update(name.encode())
+            h.update(value.astype("<f8").tobytes())
+        assert h.hexdigest() == "0d285be995891027e1aad043f750e7618ed1a7922b0e4585d9ee9fcbf6df54d4"
+
     def test_empty_training_data_rejected(self):
         bundle = tiny_bundle(users=10, items=8, seed=32)
         empty = D.InteractionMatrix.from_edges([], bundle.num_users, bundle.num_items)
