@@ -36,10 +36,10 @@ def setting(default=dataclasses.MISSING, *, within=None, choices=None):
 
 
 def like(owner, name, **default):
-    """A field with the range or choices of `owner`'s field `name`, and its default unless `default` gives one."""
+    """A field that feeds `owner`'s field `name`, with its range or choices, and its default unless `default` gives one."""
     f = owner.__dataclass_fields__[name]
     default = default or {"default": f.default, "default_factory": f.default_factory}
-    return dataclasses.field(metadata=f.metadata, **default)
+    return dataclasses.field(metadata={**f.metadata, "feeds": (owner, name)}, **default)
 
 
 @functools.cache

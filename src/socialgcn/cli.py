@@ -117,36 +117,10 @@ class RunConfig:
                     f"unknown ablation variant {name!r}; valid: {', '.join(E.ABLATION_VARIANTS)}"
                 )
 
-    def hypers(self):
-        return M.HyperParams(
-            D=self.dim,
-            L=self.latent,
-            K=self.k,
-            feature_mode=self.mode,
-            aggregator=self.aggregator,
-            use_bias=self.use_bias,
-            pin_user_base=self.pin_user_base,
-        )
-
-    def train_config(self):
-        return T.TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            negatives_per_positive=self.negatives,
-            lambda_reg=self.lambda_reg,
-            max_epochs=self.max_epochs,
-            early_stop_patience=self.patience,
-            seed=self.seed,
-            val_negatives=self.val_negatives,
-        )
-
-    def eval_config(self):
-        return E.EvalConfig(
-            n_values=list(self.n),
-            num_negatives=self.eval_negatives,
-            repetitions=self.repetitions,
-            seed=self.seed,
-        )
+    def build(self, cls):
+        """The library config `cls`: each field from the setting that feeds it, or else from the setting of its name."""
+        feeds = {f.metadata.get("feeds"): f.name for f in dataclasses.fields(self)}
+        return cls(**{f.name: getattr(self, feeds.get((cls, f.name), f.name)) for f in dataclasses.fields(cls)})
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -192,16 +166,10 @@ def parse_config(path):
     return RunConfig(**values)
 
 
-def _synth_key(name):
-    """The config key of SyntheticSpec field `name`."""
-    return name if name == "seed" else f"synth_{name}"
-
-
 def build_bundle(cfg):
     """Assemble the DatasetBundle a config describes (files or synthetic)."""
     if cfg.synthetic:
-        spec = D.SyntheticSpec(**{f.name: getattr(cfg, _synth_key(f.name)) for f in dataclasses.fields(D.SyntheticSpec)})
-        inter, social, uf, itf = D.synthetic_tables(spec)
+        inter, social, uf, itf = D.synthetic_tables(cfg.build(D.SyntheticSpec))
         if cfg.mode == M.FEATURELESS:
             uf = itf = None
     else:
@@ -219,7 +187,7 @@ def build_bundle(cfg):
         if cfg.mode == M.FEATURES:
             uf = D.load_features(cfg.user_features, inter.num_users)
             itf = D.load_features(cfg.item_features, inter.num_items)
-    bundle = D.split(inter, D.SplitConfig(cfg.test_fraction, cfg.validation_fraction, cfg.seed))
+    bundle = D.split(inter, cfg.build(D.SplitConfig))
     return replace(bundle, social=social, user_features=uf, item_features=itf)
 
 
@@ -285,7 +253,7 @@ def _dataset(cfg, checkpoint_path, expected):
 def _format_log(cfg, log):
     lines = [
         "# socialgcn training log",
-        f"# adam beta1=0.9 beta2=0.999 eps=1e-08 lr={cfg.learning_rate!r}",
+        f"# adam beta1={T.AdamState.beta1!r} beta2={T.AdamState.beta2!r} eps={T.AdamState.eps!r} lr={cfg.learning_rate!r}",
         f"# regularization lambda={cfg.lambda_reg!r} applied once per batch to |P|^2+|Q|^2",
         f"# loss=bpr negatives_per_positive={cfg.negatives} batch_size={cfg.batch_size}",
         f"# seed={cfg.seed}",
@@ -320,14 +288,15 @@ def cmd_train(args):
     _check_dir(cfg.output_dir, "output_dir")
     key = _dataset_key(cfg)
     bundle = build_bundle(cfg)
-    params, log = T.train(bundle, cfg.hypers(), cfg.train_config())
+    hypers = cfg.build(M.HyperParams)
+    params, log = T.train(bundle, hypers, cfg.build(T.TrainConfig))
     os.makedirs(cfg.output_dir, exist_ok=True)
     log_text = _format_log(cfg, log)
     checkpoint_path = os.path.join(cfg.output_dir, "checkpoint.bin")
     fingerprint = bundle.fingerprint()
     save_checkpoint(
         checkpoint_path,
-        cfg.hypers(),
+        hypers,
         params,
         fingerprint,
         log_tail=log_text.splitlines()[-10:],
@@ -372,7 +341,7 @@ def cmd_evaluate(args):
     cfg.validate()
     _check_dir(cfg.output_dir, "output_dir")
     ckpt, bundle, fingerprint = _load_model(args, cfg)
-    report = E.evaluate(ckpt.params, ckpt.hypers, bundle, cfg.eval_config())
+    report = E.evaluate(ckpt.params, ckpt.hypers, bundle, cfg.build(E.EvalConfig))
     table = report.to_table()
     os.makedirs(cfg.output_dir, exist_ok=True)
     meta = [
@@ -445,7 +414,7 @@ def cmd_ablate(args):
     _check_dir(cfg.output_dir, "output_dir")
     bundle = build_bundle(cfg)
     rows = E.run_ablation(
-        bundle, cfg.hypers(), cfg.train_config(), cfg.eval_config(), cfg.variants
+        bundle, cfg.build(M.HyperParams), cfg.build(T.TrainConfig), cfg.build(E.EvalConfig), cfg.variants
     )
     table = E.ablation_table(rows)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -454,23 +423,18 @@ def cmd_ablate(args):
     return EXIT_OK
 
 
+# The config key of each flag whose argparse dest is not that key.
+_FLAG_KEYS = {"negatives": "eval_negatives"}
+
+
 def _load_config(args):
+    """The config file's RunConfig, or the defaults, with each given flag's value in the key it names."""
     cfg = parse_config(args.config) if args.config else RunConfig()
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "k": getattr(args, "k", None),
-        "dim": getattr(args, "dim", None),
-        "mode": getattr(args, "mode", None),
-        "eval_negatives": getattr(args, "negatives", None),
-        "repetitions": getattr(args, "repetitions", None),
-        "output_dir": getattr(args, "output_dir", None),
-    }
-    n = getattr(args, "n", None)
-    if n is not None:
-        overrides["n"] = _coerce("n", "list[int]", n)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    for dest, value in vars(args).items():
+        key = _FLAG_KEYS.get(dest, dest)
+        if key in types and value is not None:
+            setattr(cfg, key, _coerce(key, types[key], value) if isinstance(value, str) else value)
     return cfg
 
 
@@ -515,8 +479,9 @@ def build_parser():
     p.add_argument("--top-n", dest="top_n", type=int, default=10)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
+    spec = RunConfig().build(D.SyntheticSpec)
     for f in dataclasses.fields(D.SyntheticSpec):
-        p.add_argument(_flag(f.name), dest=f.name, type=_PARSERS[f.type], default=getattr(RunConfig, _synth_key(f.name)))
+        p.add_argument(_flag(f.name), dest=f.name, type=_PARSERS[f.type], default=getattr(spec, f.name))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ablate", help="train and compare ablation variants")

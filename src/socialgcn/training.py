@@ -247,8 +247,8 @@ def train(bundle, hypers, config):
     """Run the full pairwise training loop.
 
     Returns (best params, per-epoch log records). Model selection and early
-    stopping use validation NDCG@10; with an empty validation split the
-    final-epoch parameters are returned.
+    stopping use validation NDCG@10. When no epoch improves it, as with an
+    empty validation split, the last parameters are returned.
     """
     from . import evaluation  # local import avoids a cycle at module load
 
@@ -267,9 +267,8 @@ def train(bundle, hypers, config):
         seed=config.seed,
     )
     log = []
-    best_params = params.copy()
+    best_params = None
     best_metric = -np.inf
-    best_epoch = -1
     stale = 0
 
     for epoch in range(config.max_epochs):
@@ -313,16 +312,10 @@ def train(bundle, hypers, config):
             if val_ndcg > best_metric:
                 best_metric = val_ndcg
                 best_params = params.copy()
-                best_epoch = epoch
                 stale = 0
             else:
                 stale += 1
                 if stale >= config.early_stop_patience:
                     break
-        else:
-            best_params = params.copy()
-            best_epoch = epoch
 
-    if best_epoch < 0:
-        best_params = params.copy()
-    return best_params, log
+    return (params if best_params is None else best_params), log

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from socialgcn import cli
 from socialgcn import data as D
+from socialgcn import evaluation as E
 from socialgcn import model as M
 from socialgcn import training as T
 from socialgcn.bounds import RANGES
@@ -204,7 +205,7 @@ def malformed_line(draw):
         key = draw(st.sampled_from([k for k, f in RUN_FIELDS.items() if f.type != "str"]))
         value = draw(st.text(alphabet=TEXT).map(str.strip).filter(lambda v: not parses(RUN_FIELDS[key].type, v)))
         return f"{key}={value}", key, f"bad value for {key!r}: {value!r}"
-    key = draw(st.sampled_from([k for k, f in RUN_FIELDS.items() if f.metadata]))
+    key = draw(st.sampled_from([k for k, f in RUN_FIELDS.items() if f.metadata.get("within") or f.metadata.get("choices")]))
     f = RUN_FIELDS[key]
     if f.metadata["choices"]:
         value = draw(st.text(alphabet=TEXT).map(str.strip).filter(lambda v: v not in f.metadata["choices"]))
@@ -224,6 +225,41 @@ def parses(ftype, raw):
     except (ValueError, KeyError):
         return False
     return True
+
+
+LIBRARY_CONFIGS = (M.HyperParams, T.TrainConfig, E.EvalConfig, D.SplitConfig, D.SyntheticSpec)
+
+
+class TestBuild:
+    def test_each_library_field_is_fed_by_one_setting(self):
+        feeds = [f.metadata["feeds"] for f in RUN_FIELDS.values() if "feeds" in f.metadata]
+        assert len(feeds) == len(set(feeds)), "two settings feed one library field"
+        assert {owner for owner, _ in feeds} <= set(LIBRARY_CONFIGS)
+        for cls in LIBRARY_CONFIGS:
+            for f in fields(cls):
+                fed = [name for name, r in RUN_FIELDS.items() if r.metadata.get("feeds") == (cls, f.name)]
+                assert fed or f.name in RUN_FIELDS, f"no setting feeds {cls.__name__}.{f.name}"
+
+    def test_each_setting_reaches_its_field(self, tmp_path):
+        path = write_config(
+            tmp_path, mode="featureless", latent=4, aggregator="max", use_bias="false", pin_user_base="true",
+            synth_dim_user=3, synth_dim_item=2, synth_homophily=0.5, synth_density=0.2, synth_clusters=4,
+            test_fraction=0.2, validation_fraction=0.3, learning_rate=0.5, negatives=7, lambda_reg=0.25,
+            patience=6, eval_negatives=11,
+        )
+        cfg = cli.parse_config(path)
+        assert cfg.build(M.HyperParams) == M.HyperParams(
+            D=4, L=4, K=1, feature_mode="featureless", aggregator="max", use_bias=False, pin_user_base=True
+        )
+        assert cfg.build(T.TrainConfig) == T.TrainConfig(
+            learning_rate=0.5, batch_size=64, negatives_per_positive=7, lambda_reg=0.25, max_epochs=2,
+            early_stop_patience=6, seed=5, val_negatives=20,
+        )
+        assert cfg.build(E.EvalConfig) == E.EvalConfig(n_values=[5, 10], num_negatives=11, repetitions=2, seed=5)
+        assert cfg.build(D.SplitConfig) == D.SplitConfig(test_fraction=0.2, validation_fraction_of_train=0.3, seed=5)
+        assert cfg.build(D.SyntheticSpec) == D.SyntheticSpec(
+            users=30, items=25, dim_user=3, dim_item=2, homophily=0.5, density=0.2, seed=5, clusters=4
+        )
 
 
 class TestConfigFuzz:
