@@ -436,14 +436,26 @@ class TestTrain:
         for name, _ in p1.items():
             assert np.array_equal(p1[name], p2[name])
 
-    @pytest.mark.parametrize("aggregator,digest", [
+    PINNED_SETUPS = {
+        "average": dict(aggregator="average"),
+        "max": dict(aggregator="max"),
+        "no-bias": dict(use_bias=False),
+        "featureless": dict(feature_mode="featureless", L=4),
+        "k0": dict(K=0),
+    }
+
+    @pytest.mark.parametrize("setup,digest", [
         ("average", "eb2780fe911506ab9b1257027141fcc7a92705913a09c2f301da9f94b57b607c"),
         ("max", "0c53174467c5e767b8e7ba31cf4ca6db1431f7a1299ae9d68a107c53c6c5cdbd"),
+        ("no-bias", "b33a008761f6e20165ee56400727ec0bcbc7d5c14881ee63e293e25e807af8d0"),
+        ("featureless", "1cb9d2c389815631a0a306aa36f23006be29bcebb6772e026cd5073c668299c8"),
+        ("k0", "c959d37907a6f2b53cfc5ccbdf5c3252167c0cf7ff57214935e09489691baddd"),
     ])
-    def test_trained_parameters_are_pinned(self, aggregator, digest):
-        # frozen digests: any bit drift in sampling, forward, backward or Adam changes them
+    def test_trained_parameters_are_pinned(self, setup, digest):
+        # frozen digests: any bit drift in sampling, forward, backward or Adam changes them;
+        # the setups cover both aggregators, no bias, featureless and no diffusion layer
         bundle = D.generate_synthetic(D.SyntheticSpec(users=40, items=30, seed=9))
-        hy = M.HyperParams(D=4, L=3, K=2, aggregator=aggregator)
+        hy = M.HyperParams(**{"D": 4, "L": 3, "K": 2, **self.PINNED_SETUPS[setup]})
         params, _ = T.train(bundle, hy, self.train_config(max_epochs=1))
         h = hashlib.sha256()
         for name, _ in params.items():
