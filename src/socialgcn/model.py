@@ -1,10 +1,10 @@
-"""Forward model: item embeddings, layered social diffusion, scoring.
+"""The model: item embeddings, layered social diffusion, and their backward pass.
 
 Conventions: parameter matrices are stored row-major, so the per-entity
 free vectors are rows of P (num_users, L) and Q (num_items, L); transforms
 F (D, L+d2), W0 (D, d1+L) and Wk (D, 2D) multiply concatenated column
-vectors as in a dense layer. ReLU everywhere, with the subgradient at 0
-fixed to 0.
+vectors as in one `dense` ReLU layer, reversed by `dense_backward`, with
+the subgradient at 0 fixed to 0. forward_all and backward_all run them all.
 """
 from __future__ import annotations
 
@@ -155,6 +155,28 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
+def dense(params, weight, bias, inputs):
+    """relu(concat(inputs) @ W.T + b), with the bias only where params holds one."""
+    z = np.concatenate(inputs, axis=1) @ params[weight].T
+    if bias in params:
+        z = z + params[bias]
+    return relu(z)
+
+
+def dense_backward(params, grads, weight, bias, inputs, out, g, cols):
+    """Reverse of `dense` given its output and dL/dout; returns dL/d concat(inputs)[:, cols].
+
+    Adds the weight's and bias's gradients into `grads`. ReLU'(z) is taken as
+    out > 0, which equals z > 0 (subgradient 0 at the kink), so the
+    pre-activations need not be kept.
+    """
+    gz = g * (out > 0.0)
+    grads[weight] += gz.T @ np.concatenate(inputs, axis=1)
+    if bias in grads:
+        grads[bias] += gz.sum(axis=0)
+    return gz @ params[weight][:, cols]
+
+
 # ---------------------------------------------------------------------------
 # full-graph forward
 
@@ -223,10 +245,7 @@ def diffuse(params, hypers, social, h0):
     for k in range(hypers.K):
         h = state.layers[k]
         agg, winners = aggregate_all(h, social, hypers.aggregator)
-        z = np.concatenate([agg, h], axis=1) @ params[layer_weight_name(k)].T
-        if layer_bias_name(k) in params:
-            z = z + params[layer_bias_name(k)]
-        state.layers.append(relu(z))
+        state.layers.append(dense(params, layer_weight_name(k), layer_bias_name(k), [agg, h]))
         state.aggs.append(agg)
         state.winners.append(winners)
     return state
@@ -237,11 +256,7 @@ def all_item_embeddings(params, hypers, item_features=None):
         return params["Q"]
     if item_features is None:
         raise ModelError("feature mode requires item features")
-    z = np.concatenate([params["Q"], item_features.vectors], axis=1)
-    v = z @ params["F"].T
-    if "bF" in params:
-        v = v + params["bF"]
-    return relu(v)
+    return dense(params, "F", "bF", [params["Q"], item_features.vectors])
 
 
 def all_user_base_embeddings(params, hypers, user_features=None):
@@ -249,11 +264,7 @@ def all_user_base_embeddings(params, hypers, user_features=None):
         return params["P"]
     if user_features is None:
         raise ModelError("feature mode requires user features")
-    z = np.concatenate([user_features.vectors, params["P"]], axis=1)
-    h = z @ params["W0"].T
-    if "b0" in params:
-        h = h + params["b0"]
-    return relu(h)
+    return dense(params, "W0", "b0", [user_features.vectors, params["P"]])
 
 
 def forward_all(params, hypers, bundle):
@@ -269,3 +280,37 @@ def forward_all(params, hypers, bundle):
     state = diffuse(params, hypers, bundle.social, h0)
     U = state.final + bundle.train.row_mean @ V
     return U, V, state
+
+
+def backward_all(params, hypers, bundle, V, state, gU, gV):
+    """Reverse of forward_all: every tensor's gradient, given V, the state, dL/dU and dL/dV.
+
+    Runs the history term, then the K diffusion layers from the last with
+    each aggregator's backward, then W0 and F, or P and Q when featureless.
+    """
+    grads, D, layers = params.zeros_like(), hypers.D, state.layers
+    # U = h^K + train.row_mean @ V
+    gV = gV + bundle.train.row_mean_t @ gU
+    gH = gU
+    for k in range(hypers.K - 1, -1, -1):
+        w, b = layer_weight_name(k), layer_bias_name(k)
+        gcat = dense_backward(params, grads, w, b, [state.aggs[k], layers[k]], layers[k + 1], gH, slice(None))
+        gAgg = gcat[:, :D]
+        gH = gcat[:, D:].copy()
+        if hypers.aggregator == AGG_AVERAGE:
+            gH += bundle.social.row_mean_t @ gAgg
+        else:
+            # each column's gradient goes to the followee that won it, users
+            # in ascending order so the sums match a per-user scatter
+            winners = state.winners[k]
+            has = winners[:, 0] >= 0
+            np.add.at(gH.reshape(-1), (winners[has] * D + np.arange(D)).ravel(), gAgg[has].ravel())
+
+    if not hypers.with_features:
+        grads["P"] += gH
+        grads["Q"] += gV
+        return grads
+    X, Y = bundle.user_features.vectors, bundle.item_features.vectors
+    grads["P"] += dense_backward(params, grads, "W0", "b0", [X, params["P"]], layers[0], gH, slice(X.shape[1], None))
+    grads["Q"] += dense_backward(params, grads, "F", "bF", [params["Q"], Y], V, gV, slice(hypers.L))
+    return grads

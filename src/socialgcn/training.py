@@ -1,9 +1,8 @@
-"""Pairwise ranking training: sampling, loss, manual backprop, Adam.
+"""Pairwise ranking training: sampling, loss, gradients, Adam.
 
-Gradients are computed by hand-written reverse mode through the full
-forward graph (item transform, layer-0 transform, K diffusion layers and
-the history-mean term). Each batch recomputes the forward pass fresh over
-the whole graph; parameters untouched by a batch naturally receive zero
+Each batch runs model.forward_all fresh over the whole graph, takes the
+loss's gradient with respect to U and V, and hands it to model.backward_all
+for every tensor's gradient. Parameters untouched by a batch receive zero
 gradient apart from the L2 term on P and Q.
 """
 from __future__ import annotations
@@ -70,7 +69,7 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
     For each observed (a, i) emits `negatives_per_positive` triples with a
     uniform unobserved j. Fresh negatives every epoch (the epoch index is
     folded into the stream seed); users who rated the whole catalog are
-    skipped and counted (rows are duplicate-free, as from_edges makes
+    skipped and counted (rows are duplicate-free, as from_arrays makes
     them, so a row as long as the catalog is all of it).
 
     Each user's negatives are the accepted draws of rejection sampling in
@@ -119,22 +118,14 @@ def _reg_term(params, lambda_reg):
     return lambda_reg * (float(np.sum(params["P"] ** 2)) + float(np.sum(params["Q"] ** 2)))
 
 
-# ---------------------------------------------------------------------------
-# manual reverse mode
-
-
 def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
     """(loss, gradients) of one batch from one forward_all; one set of margins serves both.
 
     The loss is the batch's mean of -ln sigmoid(margin), 0 for an empty
     batch, plus lambda * (|P|^2 + |Q|^2), added once and not scaled by the
     batch size.
-
-    ReLU'(z) is taken as relu(z) > 0, which equals z > 0 (subgradient 0 at
-    the kink), so the pre-activations need not be kept.
     """
     U, V, state = M.forward_all(params, hypers, bundle)
-    grads = params.zeros_like()
     D = hypers.D
     num_users, num_items = bundle.num_users, bundle.num_items
 
@@ -158,45 +149,7 @@ def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
         gV = np.zeros((num_items, D))
     loss += _reg_term(params, lambda_reg)
 
-    # U = h^K + train.row_mean @ V
-    gV += bundle.train.row_mean_t @ gU
-    gH = gU
-
-    layers = state.layers
-    for k in range(hypers.K - 1, -1, -1):
-        gZ = gH * (layers[k + 1] > 0.0)
-        inputs = np.concatenate([state.aggs[k], layers[k]], axis=1)
-        grads[M.layer_weight_name(k)] += gZ.T @ inputs
-        if M.layer_bias_name(k) in grads:
-            grads[M.layer_bias_name(k)] += gZ.sum(axis=0)
-        gcat = gZ @ params[M.layer_weight_name(k)]
-        gAgg = gcat[:, :D]
-        gH = gcat[:, D:].copy()
-        if hypers.aggregator == M.AGG_AVERAGE:
-            gH += bundle.social.row_mean_t @ gAgg
-        else:
-            # each column's gradient goes to the followee that won it, users
-            # in ascending order so the sums match a per-user scatter
-            winners = state.winners[k]
-            has = winners[:, 0] >= 0
-            np.add.at(gH.reshape(-1), (winners[has] * D + np.arange(D)).ravel(), gAgg[has].ravel())
-
-    if hypers.with_features:
-        X = bundle.user_features.vectors
-        gZ0 = gH * (layers[0] > 0.0)
-        grads["W0"] += gZ0.T @ np.concatenate([X, params["P"]], axis=1)
-        if "b0" in grads:
-            grads["b0"] += gZ0.sum(axis=0)
-        grads["P"] += gZ0 @ params["W0"][:, X.shape[1] :]
-        gZV = gV * (V > 0.0)
-        grads["F"] += gZV.T @ np.concatenate([params["Q"], bundle.item_features.vectors], axis=1)
-        if "bF" in grads:
-            grads["bF"] += gZV.sum(axis=0)
-        grads["Q"] += gZV @ params["F"][:, : hypers.L]
-    else:
-        grads["P"] += gH
-        grads["Q"] += gV
-
+    grads = M.backward_all(params, hypers, bundle, V, state, gU, gV)
     grads["P"] += 2.0 * lambda_reg * params["P"]
     grads["Q"] += 2.0 * lambda_reg * params["Q"]
     return loss, grads
