@@ -470,17 +470,12 @@ def _edge_parser(fields, line_fault, range_fault, header):
     return parse
 
 
-def _outside(ids, count):
-    """Which ids fall outside [0, count); none when the header gives no count."""
-    return np.zeros(ids.shape, dtype=bool) if count is None else (ids < 0) | (ids >= count)
+def _load_edges(path, kind, fields, build, line_fault, range_fault):
+    """The table `build(ids, header)` makes of an "a<TAB>b" edge file's (n, 2) int64 ids.
 
-
-def _load_edges(path, kind, fields, bad_rows, line_fault, range_fault):
-    """The header and the (n, 2) int64 ids of an "a<TAB>b" edge file.
-
-    `bad_rows(ids, header)` flags the rows that `line_fault(a, b, line)`,
+    `build` raises a DataError for the rows that `line_fault(a, b, line)`,
     `range_fault(a, b, header)` or a negative id make faulty. The line
-    reader takes the file when the C reader refuses it or a row is flagged,
+    reader takes the file when the C reader refuses it or `build` raises,
     and reports the first faulty line.
     """
     text = _read_text(path)
@@ -488,15 +483,18 @@ def _load_edges(path, kind, fields, bad_rows, line_fault, range_fault):
         first, _, rest = body.partition("\n")
         header = _parse_header(first)
         records = _c_read(body if header is None else rest, [("ids", np.int64, (2,))], "\t")
-        if records is not None and not bad_rows(records["ids"], header or {}).any():
-            return header or {}, records["ids"]
+        if records is not None:
+            try:
+                return build(records["ids"], header or {})
+            except DataError:
+                pass
     rows = _data_lines(text)
     if not rows:
         raise DataError(f"{path}: empty {kind} file")
     header = _parse_header(rows[0])
     parse = _edge_parser(fields, line_fault, range_fault, header or {})
     ids = np.array(_parse_lines(path, text, parse, header is not None), dtype=np.int64).reshape(-1, 2)
-    return header or {}, ids
+    return build(ids, header or {})
 
 
 def _interaction_range_fault(a, i, header):
@@ -508,17 +506,14 @@ def _interaction_range_fault(a, i, header):
 
 def load_interactions(path) -> InteractionMatrix:
     """Load "user<TAB>item" lines into a deduplicated InteractionMatrix."""
-    header, ids = _load_edges(
+    return _load_edges(
         path,
         "interaction",
         "user<TAB>item",
-        lambda ids, h: (
-            (ids < 0).any(axis=1) | _outside(ids[:, 0], h.get("users")) | _outside(ids[:, 1], h.get("items"))
-        ),
+        lambda ids, h: InteractionMatrix.from_arrays(ids[:, 0], ids[:, 1], h.get("users"), h.get("items")),
         lambda a, i, line: f"negative id in {line!r}" if a < 0 or i < 0 else None,
         _interaction_range_fault,
     )
-    return InteractionMatrix.from_arrays(ids[:, 0], ids[:, 1], header.get("users"), header.get("items"))
 
 
 def _social_range_fault(a, b, header):
@@ -529,15 +524,14 @@ def _social_range_fault(a, b, header):
 
 def load_social(path) -> SocialGraph:
     """Load "follower<TAB>followee" lines; self-loops are rejected."""
-    header, ids = _load_edges(
+    return _load_edges(
         path,
         "social",
         "follower<TAB>followee",
-        lambda ids, h: (ids[:, 0] == ids[:, 1]) | ((ids < 0) | _outside(ids, h.get("users"))).any(axis=1),
+        lambda ids, h: SocialGraph.from_arrays(ids[:, 0], ids[:, 1], h.get("users")),
         lambda a, b, line: f"self-loop on user {a}" if a == b else None,
         _social_range_fault,
     )
-    return SocialGraph.from_arrays(ids[:, 0], ids[:, 1], header.get("users"))
 
 
 def _feature_parser():
