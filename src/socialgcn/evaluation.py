@@ -231,24 +231,22 @@ def evaluate(params, hypers, bundle, config, split="test"):
 # ablation
 
 
-ABLATION_VARIANTS = ("full", "k1", "featureless_k2", "featureless_k1", "p0")
+# each ablation variant's hyperparameters, made from the full model's
+_VARIANTS = {
+    "full": lambda hy: hy,
+    "k1": lambda hy: replace(hy, K=1),
+    "featureless_k2": lambda hy: replace(hy, feature_mode=M.FEATURELESS, L=hy.D, K=2),
+    "featureless_k1": lambda hy: replace(hy, feature_mode=M.FEATURELESS, L=hy.D, K=1),
+    "p0": lambda hy: replace(hy, pin_user_base=True),
+}
+ABLATION_VARIANTS = tuple(_VARIANTS)
 
 
 def variant_hypers(base, name):
     """Hyperparameters for one named ablation variant of `base`."""
-    if name == "full":
-        return base
-    if name == "k1":
-        return replace(base, K=1)
-    if name == "featureless_k2":
-        return replace(base, feature_mode=M.FEATURELESS, L=base.D, K=2)
-    if name == "featureless_k1":
-        return replace(base, feature_mode=M.FEATURELESS, L=base.D, K=1)
-    if name == "p0":
-        return replace(base, pin_user_base=True)
-    raise EvaluationError(
-        f"unknown ablation variant {name!r}; valid: {', '.join(ABLATION_VARIANTS)}"
-    )
+    if name not in _VARIANTS:
+        raise EvaluationError(f"unknown ablation variant {name!r}; valid: {', '.join(ABLATION_VARIANTS)}")
+    return _VARIANTS[name](base)
 
 
 def format_relative_change(value, baseline):
@@ -284,21 +282,11 @@ def run_ablation(bundle, base_hypers, train_config, eval_config, variants):
         report = evaluate(params, hv, bundle, eval_config)
         results.append((name, report.mean("hr", 10), report.mean("ndcg", 10)))
 
-    base_name = "full" if any(n == "full" for n, _, _ in results) else results[0][0]
-    base_hr = next(hr for n, hr, _ in results if n == base_name)
-    base_ndcg = next(nd for n, _, nd in results if n == base_name)
-    rows = []
-    for name, hr, ndcg in results:
-        rows.append(
-            AblationRow(
-                name=name,
-                hr=hr,
-                ndcg=ndcg,
-                hr_change=format_relative_change(hr, base_hr),
-                ndcg_change=format_relative_change(ndcg, base_ndcg),
-            )
-        )
-    return rows
+    _, base_hr, base_ndcg = next((r for r in results if r[0] == "full"), results[0])
+    return [
+        AblationRow(name, hr, ndcg, format_relative_change(hr, base_hr), format_relative_change(ndcg, base_ndcg))
+        for name, hr, ndcg in results
+    ]
 
 
 def ablation_table(rows):
