@@ -195,7 +195,7 @@ def malformed_line(draw):
     The message names `key`; with `key` None it follows the file and line number.
     """
     text = st.text(alphabet=TEXT, min_size=1).filter(lambda t: t.strip() and not t.strip().startswith("#"))
-    kind = draw(st.sampled_from(["no-equals", "unknown-key", "unparsable", "out-of-range"]))
+    kind = draw(st.sampled_from(["no-equals", "unknown-key", "unparsable", "out-of-range", "empty-list"]))
     if kind == "no-equals":
         return draw(text.filter(lambda t: "=" not in t)), None, "expected key=value"
     if kind == "unknown-key":
@@ -205,6 +205,9 @@ def malformed_line(draw):
         key = draw(st.sampled_from([k for k, f in RUN_FIELDS.items() if f.type != "str"]))
         value = draw(st.text(alphabet=TEXT).map(str.strip).filter(lambda v: not parses(RUN_FIELDS[key].type, v)))
         return f"{key}={value}", key, f"bad value for {key!r}: {value!r}"
+    if kind == "empty-list":
+        key = draw(st.sampled_from(["n", "variants"]))
+        return f"{key}={draw(st.sampled_from(['', ' ', ',', ' , ']))}", key, f"{key} must list "
     key = draw(st.sampled_from([k for k, f in RUN_FIELDS.items() if f.metadata.get("within") or f.metadata.get("choices")]))
     f = RUN_FIELDS[key]
     if f.metadata["choices"]:
@@ -887,3 +890,11 @@ class TestAblateCommand:
         out = capsys.readouterr().out
         assert "+0.00%" in out
         assert (tmp_path / "out" / "ablation.tsv").exists()
+
+    def test_empty_variants_exits_2_writing_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, variants="")
+        assert cli.main(["ablate", "--config", cfg]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "config error: variants must list at least one ablation variant\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
