@@ -231,7 +231,6 @@ def evaluate(params, hypers, bundle, config, split="test"):
 # ablation
 
 
-# each ablation variant's hyperparameters, made from the full model's
 _VARIANTS = {
     "full": lambda hy: hy,
     "k1": lambda hy: replace(hy, K=1),

@@ -119,7 +119,7 @@ def _reg_term(params, lambda_reg):
 
 
 def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
-    """(loss, gradients) of one batch from one forward_all; one set of margins serves both.
+    """(loss, gradients) of one batch from one forward_all and one backward_all; one set of margins serves both.
 
     The loss is the batch's mean of -ln sigmoid(margin), 0 for an empty
     batch, plus lambda * (|P|^2 + |Q|^2), added once and not scaled by the
