@@ -13,11 +13,12 @@ generator as it was before the per-cluster rewrite, one
 `Generator.choice` per user.
 
 Two gates live here too. `finite_difference_check` compares the package's
-hand-written backward (`training._loss_and_gradients`, through
-`compute_gradients`) with central differences of `batch_loss`, which
-evaluates the same loss terms forward only. `hit_ratio_at_n` and
-`ndcg_at_n` are the scalar metric definitions over one ranked list, which
-the oracle `evaluate_tasks` applies task by task.
+hand-written backward (`model.backward_all`, through
+`training._loss_and_gradients` and `compute_gradients`) with central
+differences of `batch_loss`, which evaluates the same loss terms forward
+only. `hit_ratio_at_n` and `ndcg_at_n` are the scalar metric definitions
+over one ranked list, which the oracle `evaluate_tasks` applies task by
+task.
 """
 import hashlib
 import math
