@@ -272,6 +272,8 @@ def run_ablation(bundle, base_hypers, train_config, eval_config, variants):
     """
     from . import training
 
+    if not variants:
+        raise EvaluationError("variants must list at least one ablation variant")
     if 10 not in eval_config.n_values:
         eval_config = replace(eval_config, n_values=sorted(set(eval_config.n_values) | {10}))
     results = []

@@ -327,6 +327,13 @@ class TestAblation:
         assert len(rows) == 1
         assert rows[0].hr_change == "+0.00%" and rows[0].ndcg_change == "+0.00%"
 
+    def test_empty_variants_rejected_before_training(self):
+        bundle = D.generate_synthetic(D.SyntheticSpec(users=20, items=15, seed=9))
+        tc = T.TrainConfig(max_epochs=1)
+        with mock.patch.object(T, "train", side_effect=AssertionError("trained")):
+            with pytest.raises(E.EvaluationError, match="^variants must list at least one ablation variant$"):
+                E.run_ablation(bundle, M.HyperParams(D=3, L=2), tc, E.EvalConfig(), [])
+
 
 @st.composite
 def ranking_tasks(draw):
