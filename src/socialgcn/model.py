@@ -4,12 +4,15 @@ Conventions: parameter matrices are stored row-major, so the per-entity
 free vectors are rows of P (num_users, L) and Q (num_items, L); transforms
 F (D, L+d2), W0 (D, d1+L) and Wk (D, 2D) multiply concatenated column
 vectors as in one `dense` ReLU layer, reversed by `dense_backward`, with
-the subgradient at 0 fixed to 0. forward_all and backward_all run them all.
+the subgradient at 0 fixed to 0. forward_all and backward_all run them all:
+the forward keeps each layer's concatenated input in the DiffusionState,
+and the backward reads it there. Both write only arrays they made, never a
+parameter: in featureless mode V and layer 0 are views of Q and P.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,27 +154,34 @@ def init_params(hypers, num_users, num_items, user_dim=0, item_dim=0, seed=0):
     return ModelParams(arrays, frozen)
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
-def dense(params, weight, bias, inputs):
-    """relu(concat(inputs) @ W.T + b), with the bias only where params holds one."""
-    z = np.concatenate(inputs, axis=1) @ params[weight].T
+def dense(params, weight, bias, inputs, kept=None):
+    """relu(concat(inputs) @ W.T + b), with the bias only where params holds one.
+
+    Stores concat(inputs) as kept[weight] when `kept` is given, for
+    `dense_backward` to read.
+    """
+    x = np.concatenate(inputs, axis=1)
+    if kept is not None:
+        kept[weight] = x
+    z = x @ params[weight].T
     if bias in params:
-        z = z + params[bias]
-    return relu(z)
+        z += params[bias]
+    return relu(z, out=z)
 
 
-def dense_backward(params, grads, weight, bias, inputs, out, g, cols):
-    """Reverse of `dense` given its output and dL/dout; returns dL/d concat(inputs)[:, cols].
+def dense_backward(params, grads, weight, bias, x, out, g, cols):
+    """Reverse of `dense` given its input x, its output and dL/dout; returns dL/dx[:, cols].
 
     Adds the weight's and bias's gradients into `grads`. ReLU'(z) is taken as
     out > 0, which equals z > 0 (subgradient 0 at the kink), so the
     pre-activations need not be kept.
     """
     gz = g * (out > 0.0)
-    grads[weight] += gz.T @ np.concatenate(inputs, axis=1)
+    grads[weight] += gz.T @ x
     if bias in grads:
         grads[bias] += gz.sum(axis=0)
     return gz @ params[weight][:, cols]
@@ -185,18 +195,21 @@ def dense_backward(params, grads, weight, bias, inputs, out, g, cols):
 class DiffusionState:
     """Per-layer user embeddings and what the backward pass needs of them.
 
-    layers[k] has shape (num_users, D); aggs[k] is the neighbor aggregate
-    fed to layer k+1. For the max aggregator winners[k][a, c] is the
-    followee whose layer-k value won column c of aggs[k][a], as argmax
-    picks it over a's followees in id order (-1 for an empty ego net);
-    aggregate_all finds it per degree band of `social.followee_bands`, and
-    the backward adds each column's gradient to its winner's row. For the
-    average aggregator winners[k] is None.
+    layers[k] has shape (num_users, D). inputs maps each dense layer's
+    weight name to the input it multiplied, which `dense_backward` reads:
+    concat(agg, layers[k]) for Wk<k>, where agg is layer k's neighbor
+    aggregate, and in feature mode [Q, Y] for F and [X, P] for W0. For the
+    max aggregator winners[k][a, c] is the followee whose layer-k value won
+    column c of a's aggregate, as argmax picks it over a's followees in id
+    order (-1 for an empty ego net); aggregate_all finds it per degree band
+    of `social.followee_bands`, and the backward adds each column's
+    gradient to its winner's row. For the average aggregator winners[k] is
+    None.
     """
 
     layers: list[np.ndarray]
-    aggs: list[np.ndarray]
     winners: list
+    inputs: dict = field(default_factory=dict)
 
     @property
     def final(self):
@@ -212,7 +225,8 @@ def aggregate_all(layer, social, aggregator=AGG_AVERAGE):
     slots, and the first slot that holds the maximum. It picks a column's
     winner as argmax does: the first NaN, or else the lowest followee id
     among the tied maxima. A pad copies the row's first followee, so it
-    never moves the first hit.
+    never moves the first hit. The gathers take flat indices into the
+    C-contiguous `ids` and `layer`.
     """
     if aggregator == AGG_AVERAGE:
         return social.row_mean @ layer, None
@@ -220,19 +234,19 @@ def aggregate_all(layer, social, aggregator=AGG_AVERAGE):
     winners = np.full(layer.shape, -1)
     cols = np.arange(layer.shape[1])
     for rows, ids in social.followee_bands:
-        width = len(ids)
-        g = layer[ids]  # (width, rows, D)
+        width, n = ids.shape
+        g = layer.take(ids, axis=0)  # (width, n, D)
         best = np.maximum.reduce(g, axis=0)
         hit = g == best
         if np.isnan(best).any():
             hit |= np.isnan(g) & np.isnan(best)  # a NaN maximum is hit by every NaN
         # slot s scores width - s where it hits, so the largest score is the first hit
         score = np.arange(width, 0, -1, dtype=np.min_scalar_type(width))
-        first = width - np.max(hit * score[:, None, None], axis=0)
-        won = ids[first, np.arange(len(rows))[:, None]]
+        first = width - np.max(hit * score[:, None, None], axis=0).astype(np.intp)
+        won = ids.take(first * n + np.arange(n)[:, None])
         winners[rows] = won
         # gathered rather than taken from best, which may hold the other zero sign
-        out[rows] = layer[won, cols]
+        out[rows] = layer.take(won * layer.shape[1] + cols)
     return out, winners
 
 
@@ -241,30 +255,31 @@ def diffuse(params, hypers, social, h0):
     h0 = np.asarray(h0, dtype=np.float64)
     if h0.shape[0] != social.num_users:
         raise ModelError("h0 must cover every user")
-    state = DiffusionState([h0], [], [])
+    state = DiffusionState([h0], [])
     for k in range(hypers.K):
         h = state.layers[k]
         agg, winners = aggregate_all(h, social, hypers.aggregator)
-        state.layers.append(dense(params, layer_weight_name(k), layer_bias_name(k), [agg, h]))
-        state.aggs.append(agg)
+        state.layers.append(dense(params, layer_weight_name(k), layer_bias_name(k), [agg, h], state.inputs))
         state.winners.append(winners)
     return state
 
 
-def all_item_embeddings(params, hypers, item_features=None):
+def all_item_embeddings(params, hypers, item_features=None, kept=None):
+    """V, one row per item; `kept` as for `dense`."""
     if not hypers.with_features:
         return params["Q"]
     if item_features is None:
         raise ModelError("feature mode requires item features")
-    return dense(params, "F", "bF", [params["Q"], item_features.vectors])
+    return dense(params, "F", "bF", [params["Q"], item_features.vectors], kept)
 
 
-def all_user_base_embeddings(params, hypers, user_features=None):
+def all_user_base_embeddings(params, hypers, user_features=None, kept=None):
+    """Layer 0 of the diffusion, one row per user; `kept` as for `dense`."""
     if not hypers.with_features:
         return params["P"]
     if user_features is None:
         raise ModelError("feature mode requires user features")
-    return dense(params, "W0", "b0", [user_features.vectors, params["P"]])
+    return dense(params, "W0", "b0", [user_features.vectors, params["P"]], kept)
 
 
 def forward_all(params, hypers, bundle):
@@ -275,10 +290,15 @@ def forward_all(params, hypers, bundle):
     """
     if bundle.social is None:
         raise ModelError("bundle has no social graph attached")
-    V = all_item_embeddings(params, hypers, bundle.item_features)
-    h0 = all_user_base_embeddings(params, hypers, bundle.user_features)
+    kept = {}
+    V = all_item_embeddings(params, hypers, bundle.item_features, kept)
+    h0 = all_user_base_embeddings(params, hypers, bundle.user_features, kept)
     state = diffuse(params, hypers, bundle.social, h0)
-    U = state.final + bundle.train.row_mean @ V
+    state.inputs.update(kept)
+    # U = h^K + history mean, summed into the fresh product: in featureless
+    # mode with K = 0, h^K is the view params["P"]
+    U = bundle.train.row_mean @ V
+    U += state.final
     return U, V, state
 
 
@@ -290,27 +310,29 @@ def backward_all(params, hypers, bundle, V, state, gU, gV):
     """
     grads, D, layers = params.zeros_like(), hypers.D, state.layers
     # U = h^K + train.row_mean @ V
-    gV = gV + bundle.train.row_mean_t @ gU
+    gV_total = bundle.train.row_mean_t @ gU
+    gV_total += gV
     gH = gU
     for k in range(hypers.K - 1, -1, -1):
         w, b = layer_weight_name(k), layer_bias_name(k)
-        gcat = dense_backward(params, grads, w, b, [state.aggs[k], layers[k]], layers[k + 1], gH, slice(None))
+        gcat = dense_backward(params, grads, w, b, state.inputs[w], layers[k + 1], gH, slice(None))
         gAgg = gcat[:, :D]
-        gH = gcat[:, D:].copy()
         if hypers.aggregator == AGG_AVERAGE:
-            gH += bundle.social.row_mean_t @ gAgg
+            gH = bundle.social.row_mean_t @ gAgg
+            gH += gcat[:, D:]
         else:
             # each column's gradient goes to the followee that won it, users
             # in ascending order so the sums match a per-user scatter
+            gH = gcat[:, D:].copy()
             winners = state.winners[k]
             has = winners[:, 0] >= 0
             np.add.at(gH.reshape(-1), (winners[has] * D + np.arange(D)).ravel(), gAgg[has].ravel())
 
     if not hypers.with_features:
         grads["P"] += gH
-        grads["Q"] += gV
+        grads["Q"] += gV_total
         return grads
-    X, Y = bundle.user_features.vectors, bundle.item_features.vectors
-    grads["P"] += dense_backward(params, grads, "W0", "b0", [X, params["P"]], layers[0], gH, slice(X.shape[1], None))
-    grads["Q"] += dense_backward(params, grads, "F", "bF", [params["Q"], Y], V, gV, slice(hypers.L))
+    X = bundle.user_features.vectors
+    grads["P"] += dense_backward(params, grads, "W0", "b0", state.inputs["W0"], layers[0], gH, slice(X.shape[1], None))
+    grads["Q"] += dense_backward(params, grads, "F", "bF", state.inputs["F"], V, gV_total, slice(hypers.L))
     return grads

@@ -8,7 +8,7 @@ gradient apart from the L2 term on P and Q.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -44,8 +44,8 @@ class TrainConfig:
 class Pairs:
     """Training triples as parallel int arrays: users[t] rated pos[t], not neg[t].
 
-    Indexing with a slice or an index array selects triples, so a batch is
-    `pairs[order[start:stop]]`.
+    Indexing with a slice or an index array selects triples, so an epoch's
+    shuffle is `pairs[order]` and a batch is a slice of it.
     """
 
     users: np.ndarray
@@ -108,8 +108,8 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
 
 def _pair_terms(U, V, batch):
     """(mean pairwise loss, U[users], V[pos] - V[neg], score margins) of a non-empty batch."""
-    Uu = U[batch.users]
-    Vd = V[batch.pos] - V[batch.neg]
+    Uu = U.take(batch.users, axis=0)
+    Vd = V.take(batch.pos, axis=0) - V.take(batch.neg, axis=0)
     margins = np.einsum("ij,ij->i", Uu, Vd)
     return float(np.mean(np.logaddexp(0.0, -margins))), Uu, Vd, margins
 
@@ -161,12 +161,26 @@ def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, with what every step reuses.
+
+    `trainable` is the mask over `flat` of the tensors Adam updates, or None
+    when nothing is frozen; `scratch` holds two vectors the size of `flat`.
+    Both follow from the layout and `frozen` set that m shares with the
+    parameters.
+    """
+
     m: M.ModelParams
     v: M.ModelParams
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    trainable: np.ndarray | None = field(init=False, repr=False)
+    scratch: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.trainable = self.m.trainable_mask() if self.m.frozen else None
+        self.scratch = np.empty_like(self.m.flat), np.empty_like(self.m.flat)
 
     @classmethod
     def init(cls, params):
@@ -174,15 +188,34 @@ class AdamState:
 
 
 def adam_step(params, adam, grads, lr):
-    """In-place Adam step with bias correction on `flat`; frozen tensors update only their moments."""
+    """Adam step with bias correction on `flat`; frozen tensors update only their moments.
+
+    Updates m, v and the parameters in place through `adam.scratch`, with
+    the operations of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g
+    and params -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in
+    that order, so the bytes are those of the formulas. `grads` is only read.
+    """
     adam.step += 1
     t = adam.step
     b1, b2 = adam.beta1, adam.beta2
     g, m, v = grads.flat, adam.m.flat, adam.v.flat
-    m[...] = b1 * m + (1.0 - b1) * g
-    v[...] = b2 * v + (1.0 - b2) * g * g
-    step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + adam.eps)
-    np.subtract(params.flat, step, out=params.flat, where=params.trainable_mask())
+    a, b = adam.scratch
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=a)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=a)
+    a *= g
+    v += a
+    np.divide(m, 1.0 - b1**t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - b2**t, out=b)
+    np.sqrt(b, out=b)
+    b += adam.eps
+    a /= b
+    if adam.trainable is None:
+        params.flat -= a
+    else:
+        np.subtract(params.flat, a, out=params.flat, where=adam.trainable)
     if not (params.all_finite() and np.isfinite(m).all() and np.isfinite(v).all()):
         for name in params.trainable_names():
             if not np.isfinite(params[name]).all():
@@ -230,9 +263,10 @@ def train(bundle, hypers, config):
             bundle.train, config.negatives_per_positive, config.seed, epoch
         )
         order = np.random.default_rng([config.seed, epoch, 1]).permutation(len(samples))
+        samples = samples[order]
         losses = []
         for start in range(0, len(samples), config.batch_size):
-            batch = samples[order[start : start + config.batch_size]]
+            batch = samples[start : start + config.batch_size]
             # overflow here only makes inf or nan, which the finite checks below report
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 loss, grads = _loss_and_gradients(params, hypers, bundle, batch, config.lambda_reg)

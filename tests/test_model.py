@@ -196,6 +196,18 @@ class TestAggregation:
         layer[:, 1] = rng.choice([-np.inf, -0.0, 0.0], size=40)
         assert_max_matches_oracle(layer, social)
 
+    def test_max_matches_per_user_loop_in_one_wide_band(self):
+        # 300 users of out-degree 5, the shape of the synthetic max workloads:
+        # one band of 300 rows, more than a uint8 slot index can count
+        rng = np.random.default_rng(6)
+        social = O.social_with_degrees([5] * 300, rng)
+        assert [ids.shape for _, ids in social.followee_bands] == [(5, 300)]
+        layer = rng.integers(-1, 2, size=(300, 5)).astype(float)  # tied columns
+        layer[:, 1] = rng.choice([-0.0, 0.0], size=300)
+        layer[:, 2] = rng.normal(size=300)
+        layer[rng.random(300) < 0.3, 3] = np.nan
+        assert_max_matches_oracle(layer, social)
+
     def test_average_bounded_by_neighbor_range(self):
         rng = np.random.default_rng(4)
         layer = rng.normal(size=(6, 3))
@@ -253,12 +265,12 @@ class TestConvolveAndDiffuse:
 
 class TestUserEmbeddingAndPredict:
     def test_empty_history(self):
-        state = M.DiffusionState([np.array([[1.0, 1.0]])], [], [])
+        state = M.DiffusionState([np.array([[1.0, 1.0]])], [])
         u = O.user_embedding(state, 0, [], np.zeros((0, 2)))
         assert np.array_equal(u, [1.0, 1.0])
 
     def test_mean_plus_diffusion(self):
-        state = M.DiffusionState([np.array([[1.0, 1.0]])], [], [])
+        state = M.DiffusionState([np.array([[1.0, 1.0]])], [])
         items = np.array([[0.0, 2.0], [2.0, 0.0]])
         u = O.user_embedding(state, 0, [0, 1], items)
         assert np.array_equal(u, [2.0, 2.0])

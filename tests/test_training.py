@@ -405,6 +405,34 @@ class TestAdam:
         assert np.isfinite(params.flat).all()
 
 
+class TestStepOwnership:
+    """A batch step writes only its own arrays: the parameters only through Adam, never the gradients."""
+
+    CASES = {
+        "features-average": dict(),
+        "features-max": dict(aggregator=M.AGG_MAX),
+        "featureless-average-k0": dict(feature_mode=M.FEATURELESS, L=3, K=0),
+        "featureless-max": dict(feature_mode=M.FEATURELESS, L=3, aggregator=M.AGG_MAX),
+        "pinned-P": dict(pin_user_base=True),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_step_writes_only_what_it_owns(self, case):
+        hy = M.HyperParams(**{"D": 3, "L": 2, "K": 2, **self.CASES[case]})
+        bundle = tiny_bundle(users=12, items=9, seed=3)
+        params = M.init_params(hy, 12, 9, 8, 8, seed=4)
+        samples, _ = T.sample_pairs(bundle.train, 2, rng_seed=5)
+        before = params.flat.tobytes()
+        _, grads = T._loss_and_gradients(params, hy, bundle, samples[:16], 1e-3)
+        assert params.flat.tobytes() == before
+        if not hy.with_features:
+            assert M.forward_all(params, hy, bundle)[1] is params["Q"]
+        grad_bytes = grads.flat.tobytes()
+        T.adam_step(params, T.AdamState.init(params), grads, 0.01)
+        assert grads.flat.tobytes() == grad_bytes
+        assert params.flat.tobytes() != before
+
+
 class TestTrain:
     def train_config(self, **kw):
         defaults = dict(max_epochs=5, batch_size=128, seed=0, val_negatives=30,
