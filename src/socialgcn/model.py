@@ -161,8 +161,7 @@ def relu(x, out=None):
 def dense(params, weight, bias, inputs, kept=None):
     """relu(concat(inputs) @ W.T + b), with the bias only where params holds one.
 
-    Stores concat(inputs) as kept[weight] when `kept` is given, for
-    `dense_backward` to read.
+    Stores concat(inputs) as kept[weight] for `dense_backward` when given `kept`.
     """
     x = np.concatenate(inputs, axis=1)
     if kept is not None:
@@ -225,8 +224,7 @@ def aggregate_all(layer, social, aggregator=AGG_AVERAGE):
     slots, and the first slot that holds the maximum. It picks a column's
     winner as argmax does: the first NaN, or else the lowest followee id
     among the tied maxima. A pad copies the row's first followee, so it
-    never moves the first hit. The gathers take flat indices into the
-    C-contiguous `ids` and `layer`.
+    never moves the first hit.
     """
     if aggregator == AGG_AVERAGE:
         return social.row_mean @ layer, None
@@ -265,7 +263,6 @@ def diffuse(params, hypers, social, h0):
 
 
 def all_item_embeddings(params, hypers, item_features=None, kept=None):
-    """V, one row per item; `kept` as for `dense`."""
     if not hypers.with_features:
         return params["Q"]
     if item_features is None:
@@ -274,7 +271,6 @@ def all_item_embeddings(params, hypers, item_features=None, kept=None):
 
 
 def all_user_base_embeddings(params, hypers, user_features=None, kept=None):
-    """Layer 0 of the diffusion, one row per user; `kept` as for `dense`."""
     if not hypers.with_features:
         return params["P"]
     if user_features is None:
@@ -332,7 +328,7 @@ def backward_all(params, hypers, bundle, V, state, gU, gV):
         grads["P"] += gH
         grads["Q"] += gV_total
         return grads
-    X = bundle.user_features.vectors
-    grads["P"] += dense_backward(params, grads, "W0", "b0", state.inputs["W0"], layers[0], gH, slice(X.shape[1], None))
+    d1 = bundle.user_features.dim
+    grads["P"] += dense_backward(params, grads, "W0", "b0", state.inputs["W0"], layers[0], gH, slice(d1, None))
     grads["Q"] += dense_backward(params, grads, "F", "bF", state.inputs["F"], V, gV_total, slice(hypers.L))
     return grads

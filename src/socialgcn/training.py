@@ -161,12 +161,9 @@ def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, with what every step reuses.
-
-    `trainable` is the mask over `flat` of the tensors Adam updates, or None
-    when nothing is frozen; `scratch` holds two vectors the size of `flat`.
-    Both follow from the layout and `frozen` set that m shares with the
-    parameters.
+    """Adam's moments and step count, and what every step reuses: the mask over
+    `flat` of the tensors it updates (True when none is frozen) and two
+    scratch vectors, made once from m's layout and `frozen` set.
     """
 
     m: M.ModelParams
@@ -175,11 +172,11 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    trainable: np.ndarray | None = field(init=False, repr=False)
+    trainable: np.ndarray | bool = field(init=False, repr=False)
     scratch: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.trainable = self.m.trainable_mask() if self.m.frozen else None
+        self.trainable = self.m.trainable_mask() if self.m.frozen else True
         self.scratch = np.empty_like(self.m.flat), np.empty_like(self.m.flat)
 
     @classmethod
@@ -190,10 +187,9 @@ class AdamState:
 def adam_step(params, adam, grads, lr):
     """Adam step with bias correction on `flat`; frozen tensors update only their moments.
 
-    Updates m, v and the parameters in place through `adam.scratch`, with
-    the operations of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g
-    and params -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in
-    that order, so the bytes are those of the formulas. `grads` is only read.
+    Works in place through `adam.scratch` and only reads `grads`. It runs the
+    operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in their order.
     """
     adam.step += 1
     t = adam.step
@@ -212,10 +208,7 @@ def adam_step(params, adam, grads, lr):
     np.sqrt(b, out=b)
     b += adam.eps
     a /= b
-    if adam.trainable is None:
-        params.flat -= a
-    else:
-        np.subtract(params.flat, a, out=params.flat, where=adam.trainable)
+    np.subtract(params.flat, a, out=params.flat, where=adam.trainable)
     if not (params.all_finite() and np.isfinite(m).all() and np.isfinite(v).all()):
         for name in params.trainable_names():
             if not np.isfinite(params[name]).all():
