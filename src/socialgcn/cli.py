@@ -111,6 +111,8 @@ class RunConfig:
             )
         if not self.n or any(n < 1 for n in self.n):
             raise ConfigError(f"n must list cutoffs >= 1, got {self.n}")
+        if len(set(self.n)) < len(self.n):
+            raise ConfigError(f"n must list distinct cutoffs, got {self.n}")
         if not self.variants:
             raise ConfigError("variants must list at least one ablation variant")
         for name in self.variants:

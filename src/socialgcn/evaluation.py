@@ -32,6 +32,8 @@ class EvalConfig:
         check(EvalConfig, vars(self), EvaluationError)
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise EvaluationError("n_values must be positive")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise EvaluationError("n_values must list distinct cutoffs")
 
 
 @dataclass

@@ -6,8 +6,10 @@ F (D, L+d2), W0 (D, d1+L) and Wk (D, 2D) multiply concatenated column
 vectors as in one `dense` ReLU layer, reversed by `dense_backward`, with
 the subgradient at 0 fixed to 0. forward_all and backward_all run them all:
 the forward keeps each layer's concatenated input in the DiffusionState,
-and the backward reads it there. Both write only arrays they made, never a
-parameter: in featureless mode V and layer 0 are views of Q and P.
+and the backward reads it there. Neither writes a parameter: in featureless
+mode V and layer 0 are views of Q and P. The forward writes only arrays it
+made; the backward also fills the gradient buffer its caller hands it, so
+a training run reuses one buffer for every batch.
 """
 from __future__ import annotations
 
@@ -298,13 +300,16 @@ def forward_all(params, hypers, bundle):
     return U, V, state
 
 
-def backward_all(params, hypers, bundle, V, state, gU, gV):
+def backward_all(params, hypers, bundle, V, state, gU, gV, grads):
     """Reverse of forward_all: every tensor's gradient, given V, the state, dL/dU and dL/dV.
 
-    Runs the history term, then the K diffusion layers from the last with
-    each aggregator's backward, then W0 and F, or P and Q when featureless.
+    Zeroes `grads`, a buffer in params' layout, adds the gradients into it
+    and returns it. Runs the history term, then the K diffusion layers from
+    the last with each aggregator's backward, then W0 and F, or P and Q
+    when featureless.
     """
-    grads, D, layers = params.zeros_like(), hypers.D, state.layers
+    D, layers = hypers.D, state.layers
+    grads.flat.fill(0.0)
     # U = h^K + train.row_mean @ V
     gV_total = bundle.train.row_mean_t @ gU
     gV_total += gV

@@ -1,8 +1,10 @@
 """Pairwise ranking training: sampling, loss, gradients, Adam.
 
-Each batch runs model.forward_all fresh over the whole graph, takes the
-loss's gradient with respect to U and V, and hands it to model.backward_all
-for every tensor's gradient. Parameters untouched by a batch receive zero
+Each epoch draws its negatives from one Generator, read through a bounded
+buffer. Each batch runs model.forward_all fresh over the whole graph, takes
+the loss's gradient with respect to U and V, and hands it to
+model.backward_all for every tensor's gradient, written into the one
+workspace the run made. Parameters untouched by a batch receive zero
 gradient apart from the L2 term on P and Q.
 """
 from __future__ import annotations
@@ -63,6 +65,9 @@ class Pairs:
 # sampling
 
 
+_CHUNK = 1 << 14  # draws per refill of sample_pairs' buffer: 128 KiB of int64
+
+
 def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
     """Draw negatives for every training positive; returns (Pairs, skipped users).
 
@@ -73,9 +78,12 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
     them, so a row as long as the catalog is all of it).
 
     Each user's negatives are the accepted draws of rejection sampling in
-    stream order. A block `rng.integers(n, size=k)` is the same stream as k
-    scalar draws, so drawing the missing count in blocks consumes the
-    Generator exactly as one draw per negative would.
+    stream order: the stream is read until the user has their count, and no
+    further. A block `rng.integers(n, size=k)` is the same stream as k
+    scalar draws, so the draws come from a buffer refilled `_CHUNK` at a
+    time, and each round reads at most the missing count from it. The
+    Generator lives only in this call, so the buffer's unread tail changes
+    nothing.
     """
     rng = np.random.default_rng([rng_seed, epoch])
     n_items = train.num_items
@@ -87,18 +95,22 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
     pos = np.repeat(indices[np.repeat(~saturated, lengths)], negatives_per_positive)
     # each user's negatives are filled in place, so no per-user arrays pile up
     neg = np.empty_like(pos)
-    rated = np.zeros(n_items, dtype=bool)
+    unrated = np.ones(n_items, dtype=bool)
+    stream, read = neg[:0], 0
     done = 0
     for a in kept.tolist():
         row = indices[indptr[a] : indptr[a + 1]]
-        rated[row] = True
+        unrated[row] = False
         end = done + len(row) * negatives_per_positive
         while done < end:
-            block = rng.integers(n_items, size=end - done)
-            block = block[~rated[block]]
+            if read == len(stream):
+                stream, read = rng.integers(n_items, size=_CHUNK), 0
+            block = stream[read : read + end - done]
+            read += len(block)
+            block = block[unrated[block]]
             neg[done : done + len(block)] = block
             done += len(block)
-        rated[row] = False
+        unrated[row] = True
     return Pairs(users, pos, neg), int(np.count_nonzero(saturated))
 
 
@@ -114,17 +126,21 @@ def _pair_terms(U, V, batch):
     return float(np.mean(np.logaddexp(0.0, -margins))), Uu, Vd, margins
 
 
-def _reg_term(params, lambda_reg):
-    return lambda_reg * (float(np.sum(params["P"] ** 2)) + float(np.sum(params["Q"] ** 2)))
+def _workspace(params):
+    """The two buffers every batch's `_loss_and_gradients` writes into, both in
+    params' layout: the gradients and a scratch for the L2 term."""
+    return params.zeros_like(), params.zeros_like()
 
 
-def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
+def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg, work):
     """(loss, gradients) of one batch from one forward_all and one backward_all; one set of margins serves both.
 
     The loss is the batch's mean of -ln sigmoid(margin), 0 for an empty
     batch, plus lambda * (|P|^2 + |Q|^2), added once and not scaled by the
-    batch size.
+    batch size. The gradients are written into `work`'s buffer, which is
+    returned; its earlier contents are ignored.
     """
+    grads, scratch = work
     U, V, state = M.forward_all(params, hypers, bundle)
     D = hypers.D
     num_users, num_items = bundle.num_users, bundle.num_items
@@ -133,25 +149,32 @@ def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg):
         loss, Uu, Vd, margins = _pair_terms(U, V, batch)
         dm = (-expit(-margins) / len(batch))[:, None]
         # bincount adds each flat index's weights from 0.0 in input order,
-        # the sums a per-triple scatter makes; gV takes pos then neg
+        # the sums a per-triple scatter makes; gV takes pos then neg, and
+        # its neg weights -(dm * Uu) equal (-dm) * Uu bit for bit
         cols = np.arange(D)
         gU = np.bincount(
             (batch.users[:, None] * D + cols).ravel(), (dm * Vd).ravel(), num_users * D
         ).reshape(num_users, D)
+        w = np.empty((2, len(batch), D))
+        np.multiply(dm, Uu, out=w[0])
+        np.negative(w[0], out=w[1])
         gV = np.bincount(
             (np.concatenate([batch.pos, batch.neg])[:, None] * D + cols).ravel(),
-            np.concatenate([dm * Uu, -dm * Uu]).ravel(),
+            w.ravel(),
             num_items * D,
         ).reshape(num_items, D)
     else:
         loss = 0.0
         gU = np.zeros((num_users, D))
         gV = np.zeros((num_items, D))
-    loss += _reg_term(params, lambda_reg)
+    loss += lambda_reg * (
+        float(np.sum(np.square(params["P"], out=scratch["P"])))
+        + float(np.sum(np.square(params["Q"], out=scratch["Q"])))
+    )
 
-    grads = M.backward_all(params, hypers, bundle, V, state, gU, gV)
-    grads["P"] += 2.0 * lambda_reg * params["P"]
-    grads["Q"] += 2.0 * lambda_reg * params["Q"]
+    M.backward_all(params, hypers, bundle, V, state, gU, gV, grads)
+    n = params["P"].size + params["Q"].size  # P and Q lead the layout
+    grads.flat[:n] += np.multiply(params.flat[:n], 2.0 * lambda_reg, out=scratch.flat[:n])
     return loss, grads
 
 
@@ -237,6 +260,7 @@ def train(bundle, hypers, config):
     d2 = bundle.item_features.dim if bundle.item_features is not None else 0
     params = M.init_params(hypers, bundle.num_users, bundle.num_items, d1, d2, seed=config.seed)
     adam = AdamState.init(params)
+    work = _workspace(params)
 
     has_val = bundle.validation.num_edges > 0
     val_cfg = evaluation.EvalConfig(
@@ -262,7 +286,7 @@ def train(bundle, hypers, config):
             batch = samples[start : start + config.batch_size]
             # overflow here only makes inf or nan, which the finite checks below report
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                loss, grads = _loss_and_gradients(params, hypers, bundle, batch, config.lambda_reg)
+                loss, grads = _loss_and_gradients(params, hypers, bundle, batch, config.lambda_reg, work)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}")
                 if not grads.all_finite():

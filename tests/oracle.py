@@ -205,12 +205,13 @@ def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0):
     finite-difference check.
     """
     U, V, _ = M.forward_all(params, hypers, bundle)
-    return (T._pair_terms(U, V, batch)[0] if batch else 0.0) + T._reg_term(params, lambda_reg)
+    reg = lambda_reg * (float(np.sum(params["P"] ** 2)) + float(np.sum(params["Q"] ** 2)))
+    return (T._pair_terms(U, V, batch)[0] if batch else 0.0) + reg
 
 
 def compute_gradients(params, hypers, bundle, batch, lambda_reg=0.0):
     """Exact gradients of batch_loss w.r.t. every model tensor."""
-    _, grads = T._loss_and_gradients(params, hypers, bundle, batch, lambda_reg)
+    _, grads = T._loss_and_gradients(params, hypers, bundle, batch, lambda_reg, T._workspace(params))
     if not grads.all_finite():
         raise DivergenceError("non-finite gradient")
     return grads

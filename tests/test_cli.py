@@ -195,7 +195,7 @@ def malformed_line(draw):
     The message names `key`; with `key` None it follows the file and line number.
     """
     text = st.text(alphabet=TEXT, min_size=1).filter(lambda t: t.strip() and not t.strip().startswith("#"))
-    kind = draw(st.sampled_from(["no-equals", "unknown-key", "unparsable", "out-of-range", "empty-list"]))
+    kind = draw(st.sampled_from(["no-equals", "unknown-key", "unparsable", "out-of-range", "empty-list", "repeated-n"]))
     if kind == "no-equals":
         return draw(text.filter(lambda t: "=" not in t)), None, "expected key=value"
     if kind == "unknown-key":
@@ -208,6 +208,10 @@ def malformed_line(draw):
     if kind == "empty-list":
         key = draw(st.sampled_from(["n", "variants"]))
         return f"{key}={draw(st.sampled_from(['', ' ', ',', ' , ']))}", key, f"{key} must list "
+    if kind == "repeated-n":
+        cutoffs = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+        cutoffs.insert(draw(st.integers(0, len(cutoffs))), draw(st.sampled_from(cutoffs)))
+        return f"n={','.join(map(str, cutoffs))}", "n", "n must list distinct cutoffs"
     key = draw(st.sampled_from([k for k, f in RUN_FIELDS.items() if f.metadata.get("within") or f.metadata.get("choices")]))
     f = RUN_FIELDS[key]
     if f.metadata["choices"]:
@@ -547,6 +551,18 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         header = next(l for l in out.splitlines() if l.startswith("metric"))
         assert header.split("\t")[1:] == ["N=5", "N=10", "N=15"]
+
+    def test_repeated_cutoffs_exit_2_writing_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cli.main(["train", "--config", cfg])
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        capsys.readouterr()
+        argv = ["evaluate", "--config", cfg, "--checkpoint", ckpt, "--n", "10,10,5"]
+        assert cli.main(argv + ["--output-dir", str(tmp_path / "eval")]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "config error: n must list distinct cutoffs, got [10, 10, 5]\n"
+        assert captured.out == ""
+        assert not (tmp_path / "eval").exists()
 
     def test_fingerprint_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -270,6 +270,10 @@ class TestEvaluate:
         with pytest.raises(E.EvaluationError, match="empty"):
             E.evaluate(params, hy, bad, E.EvalConfig())
 
+    def test_repeated_cutoffs_rejected(self):
+        with pytest.raises(E.EvaluationError, match="^n_values must list distinct cutoffs$"):
+            E.EvalConfig(n_values=[10, 10, 5])
+
     @pytest.mark.parametrize("value", [0, -1])
     def test_nonpositive_negatives_rejected(self, value):
         # fails in the config, not later as a bare NumPy error from the sampler

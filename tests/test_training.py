@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -70,8 +71,28 @@ class TestSamplePairs:
             for size in (1, 3, 17, 5, 64, 2):
                 drawn = blocks.integers(n, size=size)
                 assert drawn.tolist() == [int(scalars.integers(n)) for _ in range(size)]
+            # one 2^16 block, cut at odd offsets, is the stream of successive smaller blocks
+            whole = np.random.default_rng([n, 2]).integers(n, size=1 << 16)
+            pieces = np.random.default_rng([n, 2])
+            start = 0
+            for size in itertools.cycle((1, 3, 17, 5, 1001, 7, 4093)):
+                size = min(size, len(whole) - start)
+                assert np.array_equal(whole[start : start + size], pieces.integers(n, size=size))
+                start += size
+                if start == len(whole):
+                    break
 
-    def test_matches_scalar_oracle(self):
+    @staticmethod
+    def assert_matches_oracle(train, k, seed, epoch):
+        samples, skipped = T.sample_pairs(train, k, seed, epoch)
+        want, want_skipped = O.sample_pairs(train, k, seed, epoch)
+        assert skipped == want_skipped
+        expected = np.array(want, dtype=np.int64).reshape(-1, 3)
+        got = np.stack([samples.users, samples.pos, samples.neg], axis=1)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        return skipped
+
+    def oracle_cases(self):
         rng = np.random.default_rng(11)
         for case in range(12):
             n_users, n_items = int(rng.integers(4, 12)), int(rng.integers(2, 30))
@@ -83,12 +104,23 @@ class TestSamplePairs:
             edges = [(a, int(i)) for a, row in enumerate(rows) for i in row]
             train = D.InteractionMatrix.from_edges(edges, n_users, n_items)
             for seed, epoch, k in ((case, 0, 5), (case + 100, 3, 1), (case, 1, 4)):
-                samples, skipped = T.sample_pairs(train, k, seed, epoch)
-                want, want_skipped = O.sample_pairs(train, k, seed, epoch)
-                assert skipped == want_skipped >= 1
-                expected = np.array(want, dtype=np.int64).reshape(-1, 3)
-                got = np.stack([samples.users, samples.pos, samples.neg], axis=1)
-                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+                yield train, k, seed, epoch
+
+    def test_matches_scalar_oracle(self):
+        for case in self.oracle_cases():
+            assert self.assert_matches_oracle(*case) >= 1
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_matches_scalar_oracle_across_refills(self, chunk, monkeypatch):
+        # buffers this short make nearly every round straddle a refill
+        monkeypatch.setattr(T, "_CHUNK", chunk)
+        for case in self.oracle_cases():
+            assert self.assert_matches_oracle(*case) >= 1
+
+    def test_matches_scalar_oracle_past_one_chunk(self):
+        train = D.generate_synthetic(D.SyntheticSpec(users=300, items=450, seed=0)).train
+        assert train.num_edges * 5 > T._CHUNK  # about 27.9k draws for about 27k negatives
+        self.assert_matches_oracle(train, 5, 0, 2)
 
 
 class TestPairLoss:
@@ -423,7 +455,7 @@ class TestStepOwnership:
         params = M.init_params(hy, 12, 9, 8, 8, seed=4)
         samples, _ = T.sample_pairs(bundle.train, 2, rng_seed=5)
         before = params.flat.tobytes()
-        _, grads = T._loss_and_gradients(params, hy, bundle, samples[:16], 1e-3)
+        _, grads = T._loss_and_gradients(params, hy, bundle, samples[:16], 1e-3, T._workspace(params))
         assert params.flat.tobytes() == before
         if not hy.with_features:
             assert M.forward_all(params, hy, bundle)[1] is params["Q"]
@@ -431,6 +463,26 @@ class TestStepOwnership:
         T.adam_step(params, T.AdamState.init(params), grads, 0.01)
         assert grads.flat.tobytes() == grad_bytes
         assert params.flat.tobytes() != before
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reused_workspace_leaves_no_residue(self, case):
+        hy = M.HyperParams(**{"D": 3, "L": 2, "K": 2, **self.CASES[case]})
+        bundle = tiny_bundle(users=12, items=9, seed=3)
+        params = M.init_params(hy, 12, 9, 8, 8, seed=4)
+        adam = T.AdamState.init(params)
+        samples, _ = T.sample_pairs(bundle.train, 2, rng_seed=5)
+        work = T._workspace(params)
+        for buffer in work:
+            buffer.flat.fill(np.nan)  # what an earlier run might have left
+        # a full batch, a short one, then an empty one, with an Adam step after each
+        for batch in (samples[:16], samples[16:19], samples[:0]):
+            loss, grads = T._loss_and_gradients(params, hy, bundle, batch, 1e-3, work)
+            fresh_loss, fresh = T._loss_and_gradients(params, hy, bundle, batch, 1e-3, T._workspace(params))
+            assert grads is work[0]
+            assert repr(loss) == repr(fresh_loss) and grads.flat.tobytes() == fresh.flat.tobytes()
+            grad_bytes = grads.flat.tobytes()
+            T.adam_step(params, adam, grads, 0.01)
+            assert grads.flat.tobytes() == grad_bytes
 
 
 class TestTrain:
