@@ -120,18 +120,19 @@ def _order_keys(scores):
     """
     scores = np.asarray(scores, dtype=np.float64)
     bits = (scores + 0.0).view(np.int64)
-    keys = np.where(bits < 0, bits ^ np.int64(_INT64.max), bits)
+    keys = (bits >> 63) & _INT64.max  # flips the magnitude bits of negative scores only
+    keys ^= bits
     keys[np.isnan(scores)] = _INT64.min
     return keys
 
 
 def _blocks(tasks):
-    """Consecutive runs of tasks with about _BLOCK_PAIRS positive x candidate pairs each."""
+    """Bounds of consecutive runs of tasks with about _BLOCK_PAIRS positive x candidate pairs each."""
     width = max(len(t.candidates) for t in tasks)
     cost = np.fromiter(map(len, (t.positives for t in tasks)), dtype=np.int64, count=len(tasks)) * width
     block = (np.cumsum(cost) - cost) // _BLOCK_PAIRS
     bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(tasks)]
-    return [tasks[start:stop] for start, stop in itertools.pairwise(bounds)]
+    return list(itertools.pairwise(bounds))
 
 
 def _ids(rows):
@@ -139,19 +140,8 @@ def _ids(rows):
     return np.concatenate([np.asarray(row, dtype=np.int64) for row in rows])
 
 
-def _rank_table(tasks, scorer):
-    """Ranks of each task's distinct positives, one row per task, ascending.
-
-    A positive's rank is how many of its task's candidates beat it. The
-    padding of a row, and a positive that is not a candidate, hold int64
-    max, which no cutoff reaches. Also returns each task's positive count.
-    """
-    sizes = np.fromiter(map(len, (t.candidates for t in tasks)), dtype=np.int64, count=len(tasks))
-    slots = np.arange(max(sizes.max(), 1)) < sizes[:, None]
-    keys = np.full(slots.shape, _INT64.min)  # padding never beats a candidate
-    ids = np.full(slots.shape, _INT64.max)
-    keys[slots] = _order_keys(np.concatenate([scorer(t) for t in tasks]))
-    ids[slots] = _ids(t.candidates for t in tasks)
+def _distinct_positives(tasks):
+    """(task index, item id) of every distinct positive, by task and then by ascending id."""
     lengths = np.fromiter(map(len, (t.positives for t in tasks)), dtype=np.int64, count=len(tasks))
     rows = np.repeat(np.arange(len(tasks)), lengths)
     pos = _ids(t.positives for t in tasks)
@@ -159,54 +149,92 @@ def _rank_table(tasks, scorer):
     rows, pos = rows[order], pos[order]
     distinct = np.ones(len(pos), dtype=bool)
     distinct[1:] = (rows[1:] != rows[:-1]) | (pos[1:] != pos[:-1])
-    rows, pos = rows[distinct], pos[distinct, None]
-    counts = np.bincount(rows, minlength=len(tasks))
-    row_ids, row_keys = ids[rows], keys[rows]
-    match = row_ids == pos
-    own = np.take_along_axis(row_keys, match.argmax(axis=1)[:, None], axis=1)
-    ranks = np.count_nonzero((row_keys > own) | ((row_keys == own) & (row_ids < pos)), axis=1)
-    ranks[~match.any(axis=1)] = _INT64.max
-    table = np.full((len(tasks), counts.max()), _INT64.max)
-    table[rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)] = ranks
-    table.sort(axis=1)
-    return table, counts
+    return rows[distinct], pos[distinct]
+
+
+def _rank_block(tasks, scorer, rows, pos, slot):
+    """Rank of each positive `pos` among the candidates of tasks[rows].
+
+    A positive's rank is how many of its task's candidates beat it: a higher
+    key, or an equal key and a lower id. One that is not a candidate ranks
+    int64 max, which no cutoff reaches. Each positive is looked for at its
+    `slot` first, and its task's candidates are searched only where it is
+    not there.
+    """
+    sizes = np.fromiter(map(len, (t.candidates for t in tasks)), dtype=np.int64, count=len(tasks))
+    slots = np.arange(max(sizes.max(), 1)) < sizes[:, None]
+    keys = np.full(slots.shape, _INT64.min)  # padding never beats a candidate
+    ids = np.full(slots.shape, _INT64.max)
+    keys[slots] = _order_keys(np.concatenate([scorer(t) for t in tasks]))
+    ids[slots] = _ids(t.candidates for t in tasks)
+    slot = np.minimum(slot, slots.shape[1] - 1)
+    miss = np.flatnonzero(ids[rows, slot] != pos)
+    match = ids[rows[miss]] == pos[miss, None]
+    slot[miss] = match.argmax(axis=1)
+    row_keys = keys[rows]
+    own = row_keys[np.arange(len(rows)), slot][:, None]
+    ranks = np.count_nonzero(row_keys > own, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(row_keys >= own, axis=1) > ranks + 1)
+    ranks[tied] += np.count_nonzero((row_keys[tied] == own[tied]) & (ids[rows[tied]] < pos[tied, None]), axis=1)
+    ranks[miss[~match.any(axis=1)]] = _INT64.max
+    return ranks
 
 
 def evaluate_tasks(tasks, scorer, n_values):
     """Mean metrics over tasks given scorer(task) -> candidate score array.
 
-    Candidates are distinct ids. Every positive is ranked at once by how
-    many candidates beat it: a higher score, or an equal score and a lower
-    id, the order of rank_candidates. DCG sums run in rank order and the
-    means over tasks in task order, each from 0.0, so the results equal
-    the scalar HR@N and NDCG@N of rank_candidates' order, task by task
-    (`hit_ratio_at_n` and `ndcg_at_n` in tests/oracle.py).
+    Candidates are distinct ids. Every positive is ranked by how many
+    candidates beat it: a higher score, or an equal score and a lower id,
+    the order of rank_candidates. Ranking runs in blocks of tasks; the
+    cutoffs then read one rank table of all tasks. DCG sums run in rank
+    order and the means over tasks in task order, each from 0.0, so the
+    results equal the scalar HR@N and NDCG@N of rank_candidates' order,
+    task by task (`hit_ratio_at_n` and `ndcg_at_n` in tests/oracle.py).
     """
     sums = {(m, n): 0.0 for m in ("hr", "ndcg") for n in n_values}
     if not all(map(len, (t.positives for t in tasks))):
         raise EvaluationError("every ranking task needs a non-empty positive set")
-    discount = np.array([1.0 / math.log2(rank + 1) for rank in range(1, max(n_values) + 1)])
+    if not tasks:
+        return sums
+    rows, pos = _distinct_positives(tasks)
+    counts = np.bincount(rows, minlength=len(tasks))
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    # each positive's index among its task's distinct positives; build_tasks'
+    # candidates start with the ascending positives, so it is also the likely slot
+    col = np.arange(len(rows)) - ptr[rows]
+    ranks = np.concatenate([
+        _rank_block(tasks[a:b], scorer, rows[ptr[a] : ptr[b]] - a, pos[ptr[a] : ptr[b]], col[ptr[a] : ptr[b]])
+        for a, b in _blocks(tasks)
+    ])
+    table = np.full((len(tasks), counts.max()), _INT64.max)
+    table[rows, col] = ranks
+    table.sort(axis=1)
+    # a hit ranks below its task's candidate count, and ideal reads at most the positive count
+    depth = min(max(n_values), max(max(map(len, (t.candidates for t in tasks))), counts.max()))
+    discount = np.array([1.0 / math.log2(rank + 1) for rank in range(1, depth + 1)])
     ideal = np.array(list(itertools.accumulate(discount.tolist(), initial=0.0)))  # DCG of m hits on top
-    for block in _blocks(tasks) if tasks else []:
-        table, counts = _rank_table(block, scorer)
-        for n in n_values:
-            hit = table < n
-            dcg = np.zeros(len(block))
-            for gains in np.where(hit, discount.take(table, mode="clip"), 0.0).T:
-                dcg += gains
-            per_task = {
-                ("hr", n): np.count_nonzero(hit, axis=1) / counts,
-                ("ndcg", n): dcg / ideal[np.minimum(counts, n)],
-            }
-            for key, values in per_task.items():
-                for value in values.tolist():
-                    sums[key] += value
-    count = max(len(tasks), 1)
-    return {key: value / count for key, value in sums.items()}
+    for n in n_values:
+        hit = table < n
+        dcg = np.zeros(len(tasks))
+        for gains in np.where(hit, discount.take(table, mode="clip"), 0.0).T:
+            dcg += gains
+        per_task = {
+            ("hr", n): np.count_nonzero(hit, axis=1) / counts,
+            ("ndcg", n): dcg / ideal[np.minimum(counts, n)],
+        }
+        for key, values in per_task.items():
+            for value in values.tolist():
+                sums[key] += value
+    return {key: value / len(tasks) for key, value in sums.items()}
 
 
-def evaluate(params, hypers, bundle, config, split="test"):
-    """Run the sampled-candidate protocol `repetitions` times and average."""
+def evaluate(params, hypers, bundle, config, split="test", task_cache=None):
+    """Run the sampled-candidate protocol `repetitions` times and average.
+
+    `task_cache`, a list, keeps each repetition's tasks across calls with
+    one bundle, config and split: a repetition not in it yet is built and
+    appended, and later calls reuse it.
+    """
     target = getattr(bundle, split)
     if target.num_edges == 0:
         raise EvaluationError(f"{split} split is empty")
@@ -216,9 +244,11 @@ def evaluate(params, hypers, bundle, config, split="test"):
         return V.take(task.candidates, axis=0) @ U[task.user]
 
     per_rep = {(m, n): [] for m in ("hr", "ndcg") for n in config.n_values}
+    tasks = [] if task_cache is None else task_cache
     for rep in range(config.repetitions):
-        tasks = build_tasks(bundle, config.num_negatives, repetition_seed=[config.seed, rep], split=split)
-        means = evaluate_tasks(tasks, scorer, config.n_values)
+        if rep == len(tasks):
+            tasks.append(build_tasks(bundle, config.num_negatives, repetition_seed=[config.seed, rep], split=split))
+        means = evaluate_tasks(tasks[rep], scorer, config.n_values)
         for key, value in means.items():
             per_rep[key].append(value)
     return MetricReport(

@@ -269,6 +269,7 @@ def train(bundle, hypers, config):
         repetitions=1,
         seed=config.seed,
     )
+    val_tasks = []  # built in epoch 0's validation; every epoch ranks the same tasks
     log = []
     best_params = None
     best_metric = -np.inf
@@ -296,7 +297,7 @@ def train(bundle, hypers, config):
         epoch_loss = float(np.mean(losses)) if losses else 0.0
 
         if has_val:
-            rep = evaluation.evaluate(params, hypers, bundle, val_cfg, split="validation")
+            rep = evaluation.evaluate(params, hypers, bundle, val_cfg, "validation", val_tasks)
             val_hr = rep.mean("hr", 10)
             val_ndcg = rep.mean("ndcg", 10)
         else:

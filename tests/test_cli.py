@@ -5,7 +5,10 @@ import json
 import math
 import os
 import re
+import resource
 import struct
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -563,6 +566,31 @@ class TestEvaluateCommand:
         assert captured.err == "config error: n must list distinct cutoffs, got [10, 10, 5]\n"
         assert captured.out == ""
         assert not (tmp_path / "eval").exists()
+
+    def test_huge_cutoff_reads_as_every_candidate(self, tmp_path):
+        # 25 items bound every candidate list, so N = 10**12 must read as N = 25. The child
+        # runs under a 2 GiB address-space cap, so work sized by N fails fast instead of
+        # filling the machine's memory.
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", cfg]) == 0
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        argv = ["evaluate", "--config", cfg, "--checkpoint", ckpt, "--n", "5,25,1000000000000"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+        done = subprocess.run(
+            [sys.executable, "-m", "socialgcn.cli", *argv],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        table = [line.split("\t") for line in done.stdout.splitlines()]
+        assert table[0] == ["metric", "N=5", "N=25", "N=1000000000000"]
+        assert all(row[2] == row[3] for row in table[1:])
+        values = {}
+        for line in (tmp_path / "out" / "metrics.tsv").read_text().splitlines()[1:]:
+            metric, n, rep, value = line.split("\t")
+            values.setdefault(n, []).append((metric, rep, value))
+        assert values["1000000000000"] == values["25"]
 
     def test_fingerprint_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -381,6 +381,29 @@ class TestBatchedEvaluateTasks:
             O.evaluate_tasks(tasks, scorer, n_values)
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        drawn=ranking_tasks(),
+        n_values=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
+        budget=st.sampled_from([1, 4, 16, 64]),
+        positives_first=st.booleans(),
+    )
+    def test_bit_identical_to_reference_across_blocks(self, drawn, n_values, budget, positives_first):
+        # a small _BLOCK_PAIRS splits the drawn tasks over many blocks; with positives_first the
+        # candidates start with their ascending positives, as build_tasks lays them out
+        tasks, scores = drawn
+        if positives_first:
+            for t in tasks:
+                front = sorted(set(t.positives) & set(t.candidates))
+                t.candidates = front + [c for c in t.candidates if c not in front]
+
+        def scorer(task):
+            return np.array([scores[task.user][c] for c in task.candidates])
+
+        with mock.patch.object(E, "_BLOCK_PAIRS", budget):
+            got = E.evaluate_tasks(tasks, scorer, n_values)
+        assert self.hexes(got) == self.hexes(O.evaluate_tasks(tasks, scorer, n_values))
+
     def test_blocks_of_a_full_evaluation_match_reference(self):
         b = D.generate_synthetic(D.SyntheticSpec(users=150, items=300, seed=3))
         hy = M.HyperParams(D=3, L=2, K=1)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialgcn import data as D
+from socialgcn import evaluation as E
 from socialgcn import model as M
 from socialgcn import training as T
 
@@ -515,6 +517,14 @@ class TestTrain:
         assert strip(log1) == strip(log2)
         for name, _ in p1.items():
             assert np.array_equal(p1[name], p2[name])
+
+    def test_validation_tasks_built_once_per_run(self):
+        # the validation tasks depend only on the bundle and the seed, so every epoch ranks one build
+        bundle = tiny_bundle(users=15, items=12, seed=30)
+        with mock.patch.object(E, "build_tasks", wraps=E.build_tasks) as spy:
+            _, log = T.train(bundle, M.HyperParams(D=3, L=2, K=1), self.train_config(max_epochs=3))
+        assert len(log) == 3
+        spy.assert_called_once_with(bundle, 30, repetition_seed=[0, 0], split="validation")
 
     PINNED_SETUPS = {
         "average": dict(aggregator="average"),
