@@ -340,12 +340,20 @@ def _load_model(args, cfg):
     return ckpt, bundle, fingerprint
 
 
+def _diverged(args):
+    """The DivergenceError of a checkpoint whose forward gives an inf or a NaN."""
+    return T.DivergenceError(f"checkpoint {args.checkpoint} gives non-finite embeddings")
+
+
 def cmd_evaluate(args):
     cfg = _load_config(args)
     cfg.validate()
     _check_dir(cfg.output_dir, "output_dir")
     ckpt, bundle, fingerprint = _load_model(args, cfg)
-    report = E.evaluate(ckpt.params, ckpt.hypers, bundle, cfg.build(E.EvalConfig))
+    try:
+        report = E.evaluate(ckpt.params, ckpt.hypers, bundle, cfg.build(E.EvalConfig))
+    except M.NonFiniteError:
+        raise _diverged(args) from None
     table = report.to_table()
     os.makedirs(cfg.output_dir, exist_ok=True)
     meta = [
@@ -376,7 +384,10 @@ def cmd_predict(args):
     ckpt, bundle, _ = _load_model(args, cfg)
     if not (0 <= args.user < bundle.num_users):
         raise D.DataError(f"unknown user id {args.user} (have {bundle.num_users} users)")
-    U, V, _ = M.forward_all(ckpt.params, ckpt.hypers, bundle)
+    try:
+        U, V, _ = M.finite_forward(ckpt.params, ckpt.hypers, bundle)
+    except M.NonFiniteError:
+        raise _diverged(args) from None
     train = bundle.train
     items = E.unrated_items(bundle.num_items, train.indices[train.indptr[args.user] : train.indptr[args.user + 1]])
     if not len(items):

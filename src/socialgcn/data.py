@@ -119,9 +119,16 @@ class _Table:
 
     @classmethod
     def from_edges(cls, edges, *counts):
-        """from_arrays for a list of (source, target) pairs, with from_arrays' optional counts."""
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        return cls.from_arrays(pairs[:, 0], pairs[:, 1], *counts)
+        """from_arrays for an iterable of (source, target) pairs, with from_arrays' optional counts.
+
+        A ValueError when an item is not a pair.
+        """
+        edges = list(edges)
+        ids = np.fromiter(itertools.chain.from_iterable(edges), np.int64)
+        # 2 ids per edge and none shorter than 2 leave none longer
+        if len(ids) != 2 * len(edges) or (edges and min(map(len, edges)) < 2):
+            raise ValueError("every edge must be a (source, target) pair")
+        return cls.from_arrays(ids[0::2], ids[1::2], *counts)
 
     @property
     def num_edges(self):
@@ -714,6 +721,11 @@ class SyntheticSpec:
         check(SyntheticSpec, vars(self), DataError)
 
 
+# Users x users cells of follow weights per block in synthetic_tables: the
+# block's weights and cdfs take about half a megabyte of float64.
+_FOLLOW_BLOCK_CELLS = 1 << 15
+
+
 def _weighted_draw(rng, p, size, cdf=None):
     """The ids rng.choice(len(p), size, replace=False, p=p) returns, from the same draws.
 
@@ -745,8 +757,11 @@ def synthetic_tables(spec):
 
     Stream contract: every weighted draw is the one
     Generator.choice(n, size, replace=False, p=w) makes, so the output is
-    that of one choice per user; tests pin its bytes. A user's weights
-    depend only on their cluster, so they are built once per cluster.
+    that of one choice per user; tests pin its bytes. A user's rating
+    weights depend only on their cluster, so they are built once per
+    cluster. A user's follow weights are their cluster's with their own
+    entry zeroed; they and their cdfs are built for a block of users at a
+    time, then drawn from user by user.
     """
     rng = np.random.default_rng(spec.seed)
     C = min(spec.clusters, spec.users, spec.items)
@@ -769,29 +784,32 @@ def synthetic_tables(spec):
         rated.extend(_weighted_draw(rng, w, n_pos, cdf))
 
     n_out = min(5, spec.users - 1)
-    followers, followees = [], []
+    followees, draws = [], np.zeros(C, dtype=np.int64)
     if n_out > 0:
         base = (1.0 - spec.homophily) / (spec.users - 1)
-        sizes = np.bincount(user_cluster, minlength=C).tolist()
-        templates = []
-        for c, s in enumerate(sizes):
+        templates = np.full((C, spec.users), base)
+        for c, s in enumerate(np.bincount(user_cluster, minlength=C).tolist()):
             if s > 1:
-                t = np.full(spec.users, base)
-                t[user_cluster == c] += spec.homophily / (s - 1)
+                templates[c, user_cluster == c] += spec.homophily / (s - 1)
                 # homophily=1 gives no weight outside the cluster, which may have fewer than n_out other users
                 nonzero = spec.users - 1 if base > 0 else s - 1
             else:
-                t = np.full(spec.users, 1.0 / (spec.users - 1))
+                templates[c] = 1.0 / (spec.users - 1)
                 nonzero = spec.users - 1
-            templates.append((t, min(n_out, nonzero)))
-        for a, c in enumerate(user_cluster.tolist()):
-            t, size = templates[c]
-            w = t.copy()
-            w[a] = 0.0
-            w /= w.sum()
-            picks = _weighted_draw(rng, w, size)
-            followers.extend([a] * len(picks))
-            followees.extend(picks)
+            draws[c] = min(n_out, nonzero)
+        # A block's rows are its users' weights; a row's sum and cumsum in a
+        # C-contiguous array equal the 1-D calls on that row bit for bit
+        rows = max(1, _FOLLOW_BLOCK_CELLS // spec.users)
+        for start in range(0, spec.users, rows):
+            block = np.arange(start, min(start + rows, spec.users))
+            clusters = user_cluster[block]
+            w = templates[clusters]
+            w[np.arange(len(block)), block] = 0.0
+            w /= w.sum(axis=1, keepdims=True)
+            cdf = np.cumsum(w, axis=1)
+            cdf /= cdf[:, -1:]
+            for r, c in enumerate(clusters.tolist()):
+                followees.extend(_weighted_draw(rng, w[r], draws[c], cdf[r]))
 
     uf = FeatureTable(
         dim=spec.dim_user,
@@ -803,9 +821,8 @@ def synthetic_tables(spec):
     )
     raters = np.repeat(np.arange(spec.users), n_pos)
     inter = InteractionMatrix.from_arrays(raters, np.array(rated, dtype=np.int64), spec.users, spec.items)
-    social = SocialGraph.from_arrays(
-        np.array(followers, dtype=np.int64), np.array(followees, dtype=np.int64), spec.users
-    )
+    followers = np.repeat(np.arange(spec.users), draws[user_cluster])
+    social = SocialGraph.from_arrays(followers, np.array(followees, dtype=np.int64), spec.users)
     return inter, social, uf, itf
 
 

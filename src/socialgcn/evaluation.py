@@ -233,12 +233,13 @@ def evaluate(params, hypers, bundle, config, split="test", task_cache=None):
 
     `task_cache`, a list, keeps each repetition's tasks across calls with
     one bundle, config and split: a repetition not in it yet is built and
-    appended, and later calls reuse it.
+    appended, and later calls reuse it. A model.NonFiniteError when the
+    forward gives an inf or a NaN.
     """
     target = getattr(bundle, split)
     if target.num_edges == 0:
         raise EvaluationError(f"{split} split is empty")
-    U, V, _ = M.forward_all(params, hypers, bundle)
+    U, V, _ = M.finite_forward(params, hypers, bundle)
 
     def scorer(task):
         return V.take(task.candidates, axis=0) @ U[task.user]

@@ -30,6 +30,10 @@ class ModelError(Exception):
     """Invalid model configuration or shape mismatch."""
 
 
+class NonFiniteError(ModelError):
+    """A forward pass gave an inf or a NaN in U or V."""
+
+
 @dataclass
 class HyperParams:
     D: int = setting(within=">= 1")
@@ -182,9 +186,12 @@ def dense_backward(params, grads, weight, bias, x, out, g, cols):
     pre-activations need not be kept.
     """
     gz = g * (out > 0.0)
-    grads[weight] += gz.T @ x
+    # added into the views: `grads[name] += x` would copy each back through __setitem__
+    gw = grads[weight]
+    gw += gz.T @ x
     if bias in grads:
-        grads[bias] += gz.sum(axis=0)
+        gb = grads[bias]
+        gb += gz.sum(axis=0)
     return gz @ params[weight][:, cols]
 
 
@@ -300,6 +307,18 @@ def forward_all(params, hypers, bundle):
     return U, V, state
 
 
+def finite_forward(params, hypers, bundle):
+    """forward_all's (U, V, state), or a NonFiniteError when U or V holds an inf or a NaN.
+
+    An overflow in the forward is left to this check, so it prints no RuntimeWarning.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        U, V, state = forward_all(params, hypers, bundle)
+    if not (np.isfinite(U).all() and np.isfinite(V).all()):
+        raise NonFiniteError("non-finite embeddings")
+    return U, V, state
+
+
 def backward_all(params, hypers, bundle, V, state, gU, gV, grads):
     """Reverse of forward_all: every tensor's gradient, given V, the state, dL/dU and dL/dV.
 
@@ -329,11 +348,12 @@ def backward_all(params, hypers, bundle, V, state, gU, gV, grads):
             has = winners[:, 0] >= 0
             np.add.at(gH.reshape(-1), (winners[has] * D + np.arange(D)).ravel(), gAgg[has].ravel())
 
+    gP, gQ = grads["P"], grads["Q"]
     if not hypers.with_features:
-        grads["P"] += gH
-        grads["Q"] += gV_total
+        gP += gH
+        gQ += gV_total
         return grads
     d1 = bundle.user_features.dim
-    grads["P"] += dense_backward(params, grads, "W0", "b0", state.inputs["W0"], layers[0], gH, slice(d1, None))
-    grads["Q"] += dense_backward(params, grads, "F", "bF", state.inputs["F"], V, gV_total, slice(hypers.L))
+    gP += dense_backward(params, grads, "W0", "b0", state.inputs["W0"], layers[0], gH, slice(d1, None))
+    gQ += dense_backward(params, grads, "F", "bF", state.inputs["F"], V, gV_total, slice(hypers.L))
     return grads

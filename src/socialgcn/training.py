@@ -250,7 +250,9 @@ def train(bundle, hypers, config):
 
     Returns (best params, per-epoch log records). Model selection and early
     stopping use validation NDCG@10. When no epoch improves it, as with an
-    empty validation split, the last parameters are returned.
+    empty validation split, the last parameters are returned. A
+    DivergenceError when a loss, a gradient, an Adam step or the forward of
+    the parameters an epoch ends with is not finite.
     """
     from . import evaluation  # local import avoids a cycle at module load
 
@@ -297,7 +299,10 @@ def train(bundle, hypers, config):
         epoch_loss = float(np.mean(losses)) if losses else 0.0
 
         if has_val:
-            rep = evaluation.evaluate(params, hypers, bundle, val_cfg, "validation", val_tasks)
+            try:
+                rep = evaluation.evaluate(params, hypers, bundle, val_cfg, "validation", val_tasks)
+            except M.NonFiniteError:
+                raise DivergenceError(f"non-finite embeddings at epoch {epoch}") from None
             val_hr = rep.mean("hr", 10)
             val_ndcg = rep.mean("ndcg", 10)
         else:
@@ -323,4 +328,9 @@ def train(bundle, hypers, config):
                 if stale >= config.early_stop_patience:
                     break
 
+    if log and not has_val:  # else each epoch's validation forward checked its parameters
+        try:
+            M.finite_forward(params, hypers, bundle)
+        except M.NonFiniteError:
+            raise DivergenceError(f"non-finite embeddings at epoch {log[-1]['epoch']}") from None
     return (params if best_params is None else best_params), log

@@ -527,6 +527,32 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "numeric divergence: non-finite loss at epoch 0\n"
         assert not (tmp_path / "none").exists()
 
+    def test_divergence_in_the_last_step_exits_4(self, tmp_path, capsys):
+        # one batch per epoch: the loss and gradient are finite, and only the validation forward overflows
+        cfg = write_config(tmp_path, batch_size=100000, max_epochs=1, learning_rate="1e300",
+                           output_dir=str(tmp_path / "none"))
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric divergence: non-finite embeddings at epoch 0\n"
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--output-dir", "{out}"],
+        ["predict", "--user", "0"],
+    ], ids=["evaluate", "predict"])
+    def test_checkpoint_whose_forward_overflows_exits_4(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", cfg]) == 0
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        saved = load_checkpoint(ckpt)
+        saved.params.flat *= 1e300  # every value finite, but their products overflow
+        save_checkpoint(ckpt, saved.hypers, saved.params, saved.fingerprint)
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        argv = [arg.format(out=out) for arg in command] + ["--config", cfg, "--checkpoint", ckpt]
+        assert cli.main(argv) == cli.EXIT_NUMERIC
+        assert capsys.readouterr() == ("", f"numeric divergence: checkpoint {ckpt} gives non-finite embeddings\n")
+        assert not out.exists()
+
     def test_config_error_exit_code_and_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, synthetic="false", interactions="r.tsv",
                            output_dir=str(tmp_path / "none"))

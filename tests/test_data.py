@@ -1,5 +1,6 @@
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -335,6 +336,22 @@ class TestSynthetic:
         assert uf.vectors.tobytes() == uf0.vectors.tobytes()
         assert itf.vectors.tobytes() == itf0.vectors.tobytes()
 
+    @pytest.mark.parametrize("per_block", [1, 3, 64])
+    @pytest.mark.parametrize("spec", [
+        D.SyntheticSpec(users=130, items=40, seed=7),
+        D.SyntheticSpec(users=40, items=30, homophily=1.0, seed=9),
+        # user clusters of sizes [4, 2, 1, 2, 3]: one user is alone in theirs
+        D.SyntheticSpec(users=12, items=30, seed=0),
+    ], ids=["130-users", "homophily-1", "lone-user"])
+    def test_matches_reference_across_follow_blocks(self, spec, per_block):
+        # a block of per_block users' follow cdfs; 64 leaves a short last block at 130 users
+        with mock.patch.object(D, "_FOLLOW_BLOCK_CELLS", per_block * spec.users):
+            inter, social, uf, itf = D.synthetic_tables(spec)
+        inter0, social0, uf0, itf0 = O.synthetic_tables(spec)
+        assert inter == inter0 and social == social0
+        assert uf.vectors.tobytes() == uf0.vectors.tobytes()
+        assert itf.vectors.tobytes() == itf0.vectors.tobytes()
+
 
 class TestWeightedDraw:
     @settings(max_examples=300, deadline=None)
@@ -624,6 +641,22 @@ class TestArrayConstructors:
             assert (np.diff(indptr) >= 0).all()
             for start, stop in itertools.pairwise(indptr.tolist()):
                 assert (np.diff(indices[start:stop]) > 0).all()
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2, 0)],
+        [(0, 1, 2)],
+        [(0, 1, 2), (2, 0, 1)],
+        [(0, 1, 2), (1,)],
+    ], ids=["one-triple", "only-triple", "two-triples", "long-and-short"])
+    def test_from_edges_rejects_an_item_that_is_not_a_pair(self, edges):
+        for make in (D.InteractionMatrix.from_edges, D.SocialGraph.from_edges):
+            with pytest.raises(ValueError):
+                make(edges, 3)
+
+    def test_from_edges_takes_a_generator_of_pairs(self):
+        edges = [(2, 0), (0, 1), (2, 1), (0, 1)]
+        assert D.InteractionMatrix.from_edges(iter(edges), 3, 2) == D.InteractionMatrix.from_edges(edges, 3, 2)
+        assert D.SocialGraph.from_edges((e for e in edges), 3) == D.SocialGraph.from_edges(edges, 3)
 
     @pytest.mark.parametrize("make", [
         lambda edges: D.InteractionMatrix.from_edges(edges, 3, 4),

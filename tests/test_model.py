@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,6 +63,25 @@ class TestModelParams:
         with pytest.raises(M.ModelError, match=r"^tensor 'Wk0' has shape \(4, 8\), cannot assign shape \(8,\)$"):
             params["Wk0"] = np.zeros(8)
         assert np.array_equal(params["Wk0"], np.ones((4, 8)))
+
+    @pytest.mark.parametrize("hypers", [
+        feature_hypers(K=2),
+        featureless_hypers(K=2),
+        feature_hypers(K=2, aggregator=M.AGG_MAX),
+    ], ids=["features", "featureless", "max"])
+    def test_backward_adds_into_views(self, hypers):
+        # `grads[name] += x` would store each sum back onto itself through __setitem__
+        bundle = D.generate_synthetic(D.SyntheticSpec(users=12, items=9, seed=3))
+        params = M.init_params(hypers, 12, 9, 8, 8, seed=4)
+        U, V, state = M.forward_all(params, hypers, bundle)
+        rng = np.random.default_rng(0)
+        gU, gV = rng.normal(size=U.shape), rng.normal(size=V.shape)
+        grads = params.zeros_like()
+        setitem = M.ModelParams.__setitem__
+        with mock.patch.object(M.ModelParams, "__setitem__", autospec=True, side_effect=setitem) as spy:
+            M.backward_all(params, hypers, bundle, V, state, gU, gV, grads)
+        assert spy.call_count == 0
+        assert grads.all_finite() and grads.flat.any()
 
     @pytest.mark.parametrize("hypers", [
         feature_hypers(K=2),

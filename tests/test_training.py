@@ -590,6 +590,18 @@ class TestTrain:
             h.update(value.astype("<f8").tobytes())
         assert h.hexdigest() == "0d285be995891027e1aad043f750e7618ed1a7922b0e4585d9ee9fcbf6df54d4"
 
+    @pytest.mark.parametrize("with_validation", [True, False], ids=["validation", "no-validation"])
+    def test_last_step_divergence_is_reported_at_its_epoch(self, with_validation):
+        # one batch per epoch: the first epoch's loss and gradient are finite, and its one Adam
+        # step leaves finite parameters whose forward overflows
+        bundle = tiny_bundle(users=15, items=12, seed=30)
+        if not with_validation:
+            empty = D.InteractionMatrix.from_edges([], bundle.num_users, bundle.num_items)
+            bundle = dataclasses.replace(bundle, validation=empty)
+        cfg = self.train_config(max_epochs=1, batch_size=100000, learning_rate=1e300)
+        with pytest.raises(T.DivergenceError, match="^non-finite embeddings at epoch 0$"):
+            T.train(bundle, M.HyperParams(D=3, L=2, K=1), cfg)
+
     def test_empty_training_data_rejected(self):
         bundle = tiny_bundle(users=10, items=8, seed=32)
         empty = D.InteractionMatrix.from_edges([], bundle.num_users, bundle.num_items)
