@@ -340,11 +340,6 @@ def _load_model(args, cfg):
     return ckpt, bundle, fingerprint
 
 
-def _diverged(args):
-    """The DivergenceError of a checkpoint whose forward gives an inf or a NaN."""
-    return T.DivergenceError(f"checkpoint {args.checkpoint} gives non-finite embeddings")
-
-
 def cmd_evaluate(args):
     cfg = _load_config(args)
     cfg.validate()
@@ -352,8 +347,8 @@ def cmd_evaluate(args):
     ckpt, bundle, fingerprint = _load_model(args, cfg)
     try:
         report = E.evaluate(ckpt.params, ckpt.hypers, bundle, cfg.build(E.EvalConfig))
-    except M.NonFiniteError:
-        raise _diverged(args) from None
+    except M.NonFiniteError as exc:
+        raise T.DivergenceError(f"checkpoint {args.checkpoint} gives {exc}") from None
     table = report.to_table()
     os.makedirs(cfg.output_dir, exist_ok=True)
     meta = [
@@ -386,8 +381,8 @@ def cmd_predict(args):
         raise D.DataError(f"unknown user id {args.user} (have {bundle.num_users} users)")
     try:
         U, V, _ = M.finite_forward(ckpt.params, ckpt.hypers, bundle)
-    except M.NonFiniteError:
-        raise _diverged(args) from None
+    except M.NonFiniteError as exc:
+        raise T.DivergenceError(f"checkpoint {args.checkpoint} gives {exc}") from None
     train = bundle.train
     items = E.unrated_items(bundle.num_items, train.indices[train.indptr[args.user] : train.indptr[args.user + 1]])
     if not len(items):
@@ -395,10 +390,9 @@ def cmd_predict(args):
               file=sys.stderr)
         return EXIT_OK
     scores = V[items] @ U[args.user]
-    score_of = np.empty(bundle.num_items)
-    score_of[items] = scores
-    for i in E.rank_candidates(items, scores)[: args.top_n]:
-        print(f"{i}\t{score_of[i]:.12g}")
+    # items ascend, so the stable sort breaks equal keys by the lower id
+    for t in np.argsort(~E.order_keys(scores), kind="stable")[: args.top_n]:
+        print(f"{items[t]}\t{scores[t]:.12g}")
     return EXIT_OK
 
 

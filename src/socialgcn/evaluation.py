@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class MetricReport:
     repetitions: int
     seed: int
     per_rep: dict  # (metric, N) -> list of per-repetition means over users
-    hr_convention: str = "recall: hits / |user test positives|, averaged over users"
+    hr_convention: ClassVar[str] = "recall: hits / |user test positives|, averaged over users"
 
     def mean(self, metric, n):
         return float(np.mean(self.per_rep[(metric, n)]))
@@ -100,23 +101,18 @@ def unrated_items(num_items, rated):
     return np.flatnonzero(mask)
 
 
-def rank_candidates(candidates, scores):
-    """Sort candidates by descending score, ties broken by ascending item id."""
-    candidates = np.asarray(candidates)
-    return candidates[np.lexsort((candidates, -np.asarray(scores)))].tolist()
-
-
 # Positive x candidate comparisons per block of tasks in evaluate_tasks; this
 # bounds its padded blocks and comparison temporaries to about a megabyte.
 _BLOCK_PAIRS = 1 << 15
 _INT64 = np.iinfo(np.int64)
 
 
-def _order_keys(scores):
-    """int64 keys that order candidates as rank_candidates does by score.
+def order_keys(scores):
+    """int64 keys that give the candidate order of evaluate and predict.
 
-    Higher keys are higher scores, -0.0 ties with 0.0, and NaN comes after
-    -inf, where the sort of the negated scores puts it.
+    A candidate ranks above another when its key is higher, or when the keys
+    are equal and its id is lower. Higher keys are higher scores, -0.0 ties
+    with 0.0, and NaN ranks below -inf.
     """
     scores = np.asarray(scores, dtype=np.float64)
     bits = (scores + 0.0).view(np.int64)
@@ -165,7 +161,7 @@ def _rank_block(tasks, scorer, rows, pos, slot):
     slots = np.arange(max(sizes.max(), 1)) < sizes[:, None]
     keys = np.full(slots.shape, _INT64.min)  # padding never beats a candidate
     ids = np.full(slots.shape, _INT64.max)
-    keys[slots] = _order_keys(np.concatenate([scorer(t) for t in tasks]))
+    keys[slots] = order_keys(np.concatenate([scorer(t) for t in tasks]))
     ids[slots] = _ids(t.candidates for t in tasks)
     slot = np.minimum(slot, slots.shape[1] - 1)
     miss = np.flatnonzero(ids[rows, slot] != pos)
@@ -184,12 +180,12 @@ def evaluate_tasks(tasks, scorer, n_values):
     """Mean metrics over tasks given scorer(task) -> candidate score array.
 
     Candidates are distinct ids. Every positive is ranked by how many
-    candidates beat it: a higher score, or an equal score and a lower id,
-    the order of rank_candidates. Ranking runs in blocks of tasks; the
-    cutoffs then read one rank table of all tasks. DCG sums run in rank
-    order and the means over tasks in task order, each from 0.0, so the
-    results equal the scalar HR@N and NDCG@N of rank_candidates' order,
-    task by task (`hit_ratio_at_n` and `ndcg_at_n` in tests/oracle.py).
+    candidates beat it in the order of order_keys: a higher key, or an
+    equal key and a lower id. Ranking runs in blocks of tasks; the cutoffs
+    then read one rank table of all tasks. DCG sums run in rank order and
+    the means over tasks in task order, each from 0.0, so the results equal
+    the scalar HR@N and NDCG@N of that order, task by task (`hit_ratio_at_n`
+    and `ndcg_at_n` in tests/oracle.py).
     """
     sums = {(m, n): 0.0 for m in ("hr", "ndcg") for n in n_values}
     if not all(map(len, (t.positives for t in tasks))):
@@ -234,7 +230,7 @@ def evaluate(params, hypers, bundle, config, split="test", task_cache=None):
     `task_cache`, a list, keeps each repetition's tasks across calls with
     one bundle, config and split: a repetition not in it yet is built and
     appended, and later calls reuse it. A model.NonFiniteError when the
-    forward gives an inf or a NaN.
+    forward gives an inf or a NaN, or scores that could overflow.
     """
     target = getattr(bundle, split)
     if target.num_edges == 0:

@@ -31,7 +31,7 @@ class ModelError(Exception):
 
 
 class NonFiniteError(ModelError):
-    """A forward pass gave an inf or a NaN in U or V."""
+    """A forward pass gave an inf or a NaN in U or V, or scores that could overflow."""
 
 
 @dataclass
@@ -307,15 +307,26 @@ def forward_all(params, hypers, bundle):
     return U, V, state
 
 
-def finite_forward(params, hypers, bundle):
-    """forward_all's (U, V, state), or a NonFiniteError when U or V holds an inf or a NaN.
+# A score U[a] . V[i] and each of its partial sums, in any order, is at most
+# max_a |U[a]|_1 * max|V|; half of float max leaves room for rounding.
+_SCORE_BOUND = np.finfo(np.float64).max / 2
 
-    An overflow in the forward is left to this check, so it prints no RuntimeWarning.
+
+def finite_forward(params, hypers, bundle):
+    """forward_all's (U, V, state), or a NonFiniteError when U or V holds an
+    inf or a NaN, or when a score U[a] . V[i] could overflow.
+
+    An overflow in the forward is left to these checks, so it prints no
+    RuntimeWarning. The score bound is checked here rather than by a
+    floating-point flag, which a BLAS worker thread would not raise.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         U, V, state = forward_all(params, hypers, bundle)
+        bound = np.abs(U).sum(axis=1).max(initial=0.0) * np.abs(V).max(initial=0.0)
     if not (np.isfinite(U).all() and np.isfinite(V).all()):
         raise NonFiniteError("non-finite embeddings")
+    if not bound < _SCORE_BOUND:
+        raise NonFiniteError("embeddings too large to score")
     return U, V, state
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import expit
@@ -192,9 +193,9 @@ class AdamState:
     m: M.ModelParams
     v: M.ModelParams
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     trainable: np.ndarray | bool = field(init=False, repr=False)
     scratch: tuple = field(init=False, repr=False)
 
@@ -252,7 +253,8 @@ def train(bundle, hypers, config):
     stopping use validation NDCG@10. When no epoch improves it, as with an
     empty validation split, the last parameters are returned. A
     DivergenceError when a loss, a gradient, an Adam step or the forward of
-    the parameters an epoch ends with is not finite.
+    the parameters an epoch ends with is not finite, or when that forward
+    gives scores that could overflow.
     """
     from . import evaluation  # local import avoids a cycle at module load
 
@@ -301,8 +303,8 @@ def train(bundle, hypers, config):
         if has_val:
             try:
                 rep = evaluation.evaluate(params, hypers, bundle, val_cfg, "validation", val_tasks)
-            except M.NonFiniteError:
-                raise DivergenceError(f"non-finite embeddings at epoch {epoch}") from None
+            except M.NonFiniteError as exc:
+                raise DivergenceError(f"{exc} at epoch {epoch}") from None
             val_hr = rep.mean("hr", 10)
             val_ndcg = rep.mean("ndcg", 10)
         else:
@@ -331,6 +333,6 @@ def train(bundle, hypers, config):
     if log and not has_val:  # else each epoch's validation forward checked its parameters
         try:
             M.finite_forward(params, hypers, bundle)
-        except M.NonFiniteError:
-            raise DivergenceError(f"non-finite embeddings at epoch {log[-1]['epoch']}") from None
+        except M.NonFiniteError as exc:
+            raise DivergenceError(f"{exc} at epoch {log[-1]['epoch']}") from None
     return (params if best_params is None else best_params), log

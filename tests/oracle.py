@@ -18,7 +18,8 @@ hand-written backward (`model.backward_all`, through
 differences of `batch_loss`, which evaluates the same loss terms forward
 only. `hit_ratio_at_n` and `ndcg_at_n` are the scalar metric definitions
 over one ranked list, which the oracle `evaluate_tasks` applies task by
-task.
+task to the order of `rank_candidates`, a float sort of the negated scores
+that `evaluation.order_keys` must reproduce.
 """
 import hashlib
 import math
@@ -636,11 +637,17 @@ def ndcg_at_n(ranked, positives, n):
     return dcg / ideal
 
 
+def rank_candidates(candidates, scores):
+    """Sort candidates by descending score, ties broken by ascending item id."""
+    candidates = np.asarray(candidates)
+    return candidates[np.lexsort((candidates, -np.asarray(scores)))].tolist()
+
+
 def evaluate_tasks(tasks, scorer, n_values):
     """Mean metrics over tasks given scorer(task) -> candidate score array."""
     sums = {(m, n): 0.0 for m in ("hr", "ndcg") for n in n_values}
     for task in tasks:
-        ranked = E.rank_candidates(task.candidates, scorer(task))
+        ranked = rank_candidates(task.candidates, scorer(task))
         for n in n_values:
             sums[("hr", n)] += hit_ratio_at_n(ranked, task.positives, n)
             sums[("ndcg", n)] += ndcg_at_n(ranked, task.positives, n)

@@ -102,7 +102,7 @@ def test_metric_oracle_suite():
         n_pos = int(rng.integers(1, n_cand))
         positives = set(int(c) for c in rng.choice(candidates, size=n_pos, replace=False))
         n = int(rng.integers(1, n_cand + 2))
-        ranked = E.rank_candidates(candidates, scores)
+        ranked = O.rank_candidates(candidates, scores)
         hr_bf, ndcg_bf = brute_force_metrics(candidates, scores, positives, n)
         assert O.hit_ratio_at_n(ranked, positives, n) == hr_bf
         assert abs(O.ndcg_at_n(ranked, positives, n) - ndcg_bf) < 1e-12
@@ -119,7 +119,7 @@ def test_random_ranker_calibration():
     hits = 0.0
     for _ in range(n_tasks):
         scores = rng.random(size=1001)
-        ranked = E.rank_candidates(candidates, scores)
+        ranked = O.rank_candidates(candidates, scores)
         hits += O.hit_ratio_at_n(ranked, {0}, 10)
     p = 10 / 1001
     sigma = math.sqrt(p * (1 - p) / n_tasks)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oracle as O
 from socialgcn import cli
 from socialgcn import data as D
 from socialgcn import evaluation as E
@@ -553,6 +554,33 @@ class TestTrainCommand:
         assert capsys.readouterr() == ("", f"numeric divergence: checkpoint {ckpt} gives non-finite embeddings\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--output-dir", "{out}"],
+        ["predict", "--user", "0"],
+    ], ids=["evaluate", "predict"])
+    def test_checkpoint_whose_scores_overflow_exits_4(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        assert cli.main(["train", "--config", cfg]) == 0
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        saved = load_checkpoint(ckpt)
+        saved.params.flat *= 1e70  # the embeddings stay finite, but their dot products overflow
+        save_checkpoint(ckpt, saved.hypers, saved.params, saved.fingerprint)
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        argv = [arg.format(out=out) for arg in command] + ["--config", cfg, "--checkpoint", ckpt]
+        assert cli.main(argv) == cli.EXIT_NUMERIC
+        assert capsys.readouterr() == ("", f"numeric divergence: checkpoint {ckpt} gives embeddings too large to score\n")
+        assert not out.exists()
+
+    def test_validation_whose_scores_overflow_exits_4(self, tmp_path, capsys):
+        # featureless with K = 0, one Adam step of about 1e160 leaves finite embeddings
+        # whose dot products overflow in the epoch's validation
+        cfg = write_config(tmp_path, mode="featureless", dim=3, latent=3, k=0, batch_size=100000,
+                           max_epochs=1, learning_rate="1e160", output_dir=str(tmp_path / "none"))
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric divergence: embeddings too large to score at epoch 0\n"
+        assert not (tmp_path / "none").exists()
+
     def test_config_error_exit_code_and_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, synthetic="false", interactions="r.tsv",
                            output_dir=str(tmp_path / "none"))
@@ -730,6 +758,33 @@ class TestPredictCommand:
         assert out == "".join(f"{items[t]}\t{scores[t]:.12g}\n" for t in order)
         printed = [l.split("\t")[1] for l in out.splitlines()]
         assert len(set(printed)) < len(printed) / 2  # the order rests on ties
+
+    def test_duplicated_item_rows_rank_as_the_reference(self, tmp_path, capsys):
+        # items in groups of three share one row of Q, and some groups are rows of
+        # 0.0 or -0.0, so scores tie exactly, among them zeros of both signs
+        cfg = write_config(tmp_path, mode="featureless", dim=2, latent=2, k=0)
+        bundle = cli.build_bundle(cli.parse_config(cfg))
+        hy = M.HyperParams(D=2, L=2, K=0, feature_mode=M.FEATURELESS)
+        rng = np.random.default_rng(1)
+        rows = rng.normal(size=((bundle.num_items + 2) // 3, 2))
+        rows[::3] = 0.0
+        rows[1::3] = -0.0
+        params = M.ModelParams({
+            "P": rng.normal(size=(bundle.num_users, 2)),
+            "Q": np.repeat(rows, 3, axis=0)[: bundle.num_items],
+        })
+        ckpt = str(tmp_path / "dup.bin")
+        save_checkpoint(ckpt, hy, params, bundle.fingerprint())
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", cfg, "--checkpoint", ckpt,
+                         "--user", "3", "--top-n", "1000"]) == 0
+        out = capsys.readouterr().out
+        U, V, _ = M.forward_all(params, hy, bundle)
+        items = E.unrated_items(bundle.num_items, bundle.train.positives_by_user[3])
+        scores = V[items] @ U[3]
+        score_of = dict(zip(items.tolist(), scores.tolist()))
+        assert out == "".join(f"{i}\t{score_of[i]:.12g}\n" for i in O.rank_candidates(items, scores))
+        assert np.count_nonzero(scores == 0.0) > 1 and len(set(scores.tolist())) < len(scores) / 2
 
     def test_negative_top_n_exits_2_naming_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -94,7 +94,7 @@ class TestBruteForceOracle:
             n_pos = int(rng.integers(1, n_cand))
             positives = set(int(c) for c in rng.choice(candidates, size=n_pos, replace=False))
             n = int(rng.integers(1, n_cand + 2))
-            ranked = E.rank_candidates(candidates, scores)
+            ranked = O.rank_candidates(candidates, scores)
             hr_bf, ndcg_bf = brute_force_metrics(candidates, scores, positives, n)
             assert O.hit_ratio_at_n(ranked, positives, n) == hr_bf
             assert O.ndcg_at_n(ranked, positives, n) == pytest.approx(ndcg_bf, abs=1e-12)
@@ -108,7 +108,25 @@ class TestRankCandidates:
             candidates = [int(c) for c in rng.choice(500, size=n_cand, replace=False)]
             scores = rng.integers(-2, 3, size=n_cand) * 0.5  # many exact ties
             want = sorted(range(n_cand), key=lambda t: (-scores[t], candidates[t]))
-            assert E.rank_candidates(candidates, scores) == [candidates[t] for t in want]
+            assert O.rank_candidates(candidates, scores) == [candidates[t] for t in want]
+
+
+class TestOrderKeys:
+    # a few values drawn often, so that exact ties, signed zeros and NaNs meet
+    SPECIAL = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 1.5, -1.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), max_size=40), st.data())
+    def test_key_order_over_ascending_ids_is_the_reference_order(self, scores, data):
+        gaps = data.draw(st.lists(st.integers(1, 5), min_size=len(scores), max_size=len(scores)))
+        ids = np.cumsum(np.array(gaps, dtype=np.int64))
+        scores = np.array(scores, dtype=np.float64)
+        order = np.argsort(~E.order_keys(scores), kind="stable")
+        assert ids[order].tolist() == O.rank_candidates(ids, scores)
+
+    def test_signed_zeros_tie_and_nan_ranks_below_minus_inf(self):
+        keys = E.order_keys([0.0, -0.0, -math.inf, math.nan, -math.nan])
+        assert keys[0] == keys[1] > keys[2] > keys[3] == keys[4]
 
 
 class TestBuildTasks:
@@ -288,7 +306,7 @@ class TestEvaluate:
         for _ in range(n_tasks):
             candidates = list(range(201))
             scores = rng.normal(size=201)
-            ranked = E.rank_candidates(candidates, scores)
+            ranked = O.rank_candidates(candidates, scores)
             hits += O.hit_ratio_at_n(ranked, {0}, 10)
         p = 10 / 201
         sigma = math.sqrt(p * (1 - p) / n_tasks)
