@@ -536,40 +536,26 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "numeric divergence: non-finite embeddings at epoch 0\n"
         assert not (tmp_path / "none").exists()
 
+    @pytest.mark.parametrize("scale, gives", [
+        (1e300, "non-finite embeddings"),  # every value finite, but their products overflow
+        (1e70, "embeddings too large to score"),  # the embeddings stay finite, but their dot products overflow
+    ], ids=["embeddings", "scores"])
     @pytest.mark.parametrize("command", [
         ["evaluate", "--output-dir", "{out}"],
         ["predict", "--user", "0"],
     ], ids=["evaluate", "predict"])
-    def test_checkpoint_whose_forward_overflows_exits_4(self, tmp_path, capsys, command):
+    def test_checkpoint_whose_forward_overflows_exits_4(self, tmp_path, capsys, command, scale, gives):
         cfg = write_config(tmp_path)
         assert cli.main(["train", "--config", cfg]) == 0
         ckpt = str(tmp_path / "out" / "checkpoint.bin")
         saved = load_checkpoint(ckpt)
-        saved.params.flat *= 1e300  # every value finite, but their products overflow
+        saved.params.flat *= scale
         save_checkpoint(ckpt, saved.hypers, saved.params, saved.fingerprint)
         capsys.readouterr()
         out = tmp_path / "eval"
         argv = [arg.format(out=out) for arg in command] + ["--config", cfg, "--checkpoint", ckpt]
         assert cli.main(argv) == cli.EXIT_NUMERIC
-        assert capsys.readouterr() == ("", f"numeric divergence: checkpoint {ckpt} gives non-finite embeddings\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", [
-        ["evaluate", "--output-dir", "{out}"],
-        ["predict", "--user", "0"],
-    ], ids=["evaluate", "predict"])
-    def test_checkpoint_whose_scores_overflow_exits_4(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path)
-        assert cli.main(["train", "--config", cfg]) == 0
-        ckpt = str(tmp_path / "out" / "checkpoint.bin")
-        saved = load_checkpoint(ckpt)
-        saved.params.flat *= 1e70  # the embeddings stay finite, but their dot products overflow
-        save_checkpoint(ckpt, saved.hypers, saved.params, saved.fingerprint)
-        capsys.readouterr()
-        out = tmp_path / "eval"
-        argv = [arg.format(out=out) for arg in command] + ["--config", cfg, "--checkpoint", ckpt]
-        assert cli.main(argv) == cli.EXIT_NUMERIC
-        assert capsys.readouterr() == ("", f"numeric divergence: checkpoint {ckpt} gives embeddings too large to score\n")
+        assert capsys.readouterr() == ("", f"numeric divergence: checkpoint {ckpt} gives {gives}\n")
         assert not out.exists()
 
     def test_validation_whose_scores_overflow_exits_4(self, tmp_path, capsys):
