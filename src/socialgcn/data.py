@@ -2,9 +2,8 @@
 
 File formats are plain TSV (UTF-8). An optional first non-comment line
 ``users=M items=N`` declares dimensions; lines starting with ``#`` are ignored.
-Loaders give a file's data lines to NumPy's C reader, guarded so that it
-reads ids and values as int() and float() do. A line-by-line reader takes
-the files it refuses, and names the first faulty ``path:line``.
+Loaders read a file's lines once, ids as int() and values as float() read
+them, and name the first faulty ``path:line``.
 
 A DatasetBundle's canonical form is blocks(), named arrays of fixed dtype;
 its fingerprint is digest() of them, and a dataset snapshot stores them.
@@ -33,8 +32,9 @@ _HEADER_RE = re.compile(r"^\s*(users|items)=(\d+)(?:\s+(users|items)=(\d+))?\s*$
 
 
 def _parse_header(line):
+    """{key: count} of a header line, or None when `line` is no header: each key may appear once."""
     m = _HEADER_RE.match(line)
-    if m is None:
+    if m is None or m.group(1) == m.group(3):
         return None
     out = {m.group(1): int(m.group(2))}
     if m.group(3):
@@ -46,13 +46,22 @@ def _csr(sources, targets, num_sources, num_targets):
     """CSR (indptr, indices) int64 arrays of the ascending distinct targets of each source id.
 
     Sorts the keys source * num_targets + target; np.sort and a neighbour
-    mask cost a tenth of np.unique's time on NumPy 2 at these sizes.
+    mask cost a tenth of np.unique's time on NumPy 2 at these sizes. A
+    DataError when the counts overflow those int64 keys, or indptr does not
+    fit in memory.
     """
+    if num_sources * max(num_targets, 1) >= 2**63:
+        raise DataError(f"table of {num_sources} x {num_targets} is too large to index")
     keys = np.sort(sources * num_targets + targets)
     distinct = np.ones(len(keys), dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
     sources, targets = np.divmod(keys[distinct], max(num_targets, 1))
-    return np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=num_sources)))), targets
+    try:
+        indptr = np.zeros(num_sources + 1, dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array may hold
+        raise DataError(f"table of {num_sources} rows does not fit in memory") from None
+    np.cumsum(np.bincount(sources, minlength=num_sources), out=indptr[1:])
+    return indptr, targets
 
 
 def _edge_lines(table):
@@ -374,78 +383,27 @@ class DatasetBundle:
 
 _INT64 = range(-(2**63), 2**63)
 
-# The bytes of a plain file: printable ASCII but '#', TAB and LF. NumPy's C
-# reader takes a plain file's lines as they are, with the strip pass's
-# result: it skips an empty line, reads spaces around a field as int() and
-# float() do, and refuses a line of spaces or one with a TAB at either end
-# (the stripped lines are tried next).
-_PLAIN = (bytes(range(0x20, 0x7F)) + b"\t\n").replace(b"#", b"")
-_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b"\t,")
 
-
-def _data_lines(text):
-    """The stripped data lines of `text`: neither blank nor '#' comments."""
-    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-
-
-def _read_text(path):
+def _data_lines(path):
+    """(line number, stripped line) of each data line of the file at `path`: neither blank nor a '#' comment."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _c_bodies(text):
-    """The data rows of `text` for NumPy's C reader, joined by LF: up to two tries, made lazily.
-
-    A plain file's first try is its text without its final LFs, so that its
-    last row is not empty; it skips the strip pass. The next try is the data
-    lines, unless one holds a character that is not ASCII, or U+001F. The C
-    reader reads a non-ASCII character after the digits into a wrong value
-    ("5\u01fe" as 512) and strips U+001F as whitespace, where int() and
-    float() reject both.
-    """
-    if not text.encode().translate(None, _PLAIN):
-        yield text.rstrip("\n")
-    body = "\n".join(_data_lines(text))
-    if body.isascii() and "\x1f" not in body:
-        yield body
-
-
-def _c_read(body, dtype, delimiter):
-    """One `dtype` record per non-empty line of `body`, as NumPy's C reader parses it, or None.
-
-    None when the reader refuses a line, and for an empty body (loadtxt
-    warns when it finds no data). On the rows _c_bodies gives it, the reader
-    reads each integer as int() does and each float as float() does.
-    """
-    if not body:
-        return None
-    try:
-        return np.loadtxt(body.split("\n"), dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
-    except ValueError:
-        return None
-
-
-def _parse_lines(path, text, parse, skip=0):
-    """parse(line) of every data line of `text` in file order, leaving out the first `skip` (a header).
-
-    The first DataError that parse raises is raised again, naming `path:line`.
-    """
-    parsed = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if skip:
-            skip -= 1
-            continue
+        if line and line[0] != "#":
+            yield lineno, line
+
+
+def _parsed(path, lines, parse):
+    """parse(line) of each (line number, line) of `lines`; a DataError it raises is raised again naming `path:line`."""
+    for lineno, line in lines:
         try:
-            parsed.append(parse(line))
+            yield parse(line)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-    return parsed
 
 
 def _edge_parser(fields, line_fault, range_fault, header):
@@ -478,30 +436,25 @@ def _edge_parser(fields, line_fault, range_fault, header):
 
 
 def _load_edges(path, kind, fields, build, line_fault, range_fault):
-    """The table `build(ids, header)` makes of an "a<TAB>b" edge file's (n, 2) int64 ids.
+    """The table `build(sources, targets, header)` makes of an "a<TAB>b" edge file's int64 ids.
 
-    `build` raises a DataError for the rows that `line_fault(a, b, line)`,
-    `range_fault(a, b, header)` or a negative id make faulty. The line
-    reader takes the file when the C reader refuses it or `build` raises,
-    and reports the first faulty line.
+    The first data line is the header when _parse_header reads one. A
+    DataError names the first faulty ``path:line``, or ``path`` when `build`
+    finds the counts too large for a table.
     """
-    text = _read_text(path)
-    for body in _c_bodies(text):
-        first, _, rest = body.partition("\n")
-        header = _parse_header(first)
-        records = _c_read(body if header is None else rest, [("ids", np.int64, (2,))], "\t")
-        if records is not None:
-            try:
-                return build(records["ids"], header or {})
-            except DataError:
-                pass
-    rows = _data_lines(text)
-    if not rows:
+    lines = _data_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise DataError(f"{path}: empty {kind} file")
-    header = _parse_header(rows[0])
+    header = _parse_header(first[1])
+    if header is None:
+        lines = itertools.chain([first], lines)
     parse = _edge_parser(fields, line_fault, range_fault, header or {})
-    ids = np.array(_parse_lines(path, text, parse, header is not None), dtype=np.int64).reshape(-1, 2)
-    return build(ids, header or {})
+    ids = np.fromiter(itertools.chain.from_iterable(_parsed(path, lines, parse)), np.int64)
+    try:
+        return build(ids[0::2], ids[1::2], header or {})
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _interaction_range_fault(a, i, header):
@@ -517,7 +470,7 @@ def load_interactions(path) -> InteractionMatrix:
         path,
         "interaction",
         "user<TAB>item",
-        lambda ids, h: InteractionMatrix.from_arrays(ids[:, 0], ids[:, 1], h.get("users"), h.get("items")),
+        lambda users, items, h: InteractionMatrix.from_arrays(users, items, h.get("users"), h.get("items")),
         lambda a, i, line: f"negative id in {line!r}" if a < 0 or i < 0 else None,
         _interaction_range_fault,
     )
@@ -535,7 +488,7 @@ def load_social(path) -> SocialGraph:
         path,
         "social",
         "follower<TAB>followee",
-        lambda ids, h: SocialGraph.from_arrays(ids[:, 0], ids[:, 1], h.get("users")),
+        lambda followers, followees, h: SocialGraph.from_arrays(followers, followees, h.get("users")),
         lambda a, b, line: f"self-loop on user {a}" if a == b else None,
         _social_range_fault,
     )
@@ -575,40 +528,16 @@ def _feature_parser():
     return parse
 
 
-def _c_features(body):
-    """The ids and (n, dim) values NumPy's C reader parses from "id<TAB>values" rows, or None.
-
-    The rows go to it with their TAB made a comma, so each row must have one
-    TAB and no comma before it: "1,2<TAB>3" would read as id 1. The reader
-    gives each record dim separators, so the rows' TABs and commas, in order,
-    must be one TAB and dim - 1 commas per record. None also when a value is
-    not finite or an id repeats, which the line reader reports.
-    """
-    dim = body.partition("\n")[0].count(",") + 1
-    records = _c_read(body.replace("\t", ","), [("id", np.int64), ("v", np.float64, (dim,))], ",")
-    if (
-        records is None
-        or body.encode().translate(None, _NOT_SEPARATOR) != (b"\t" + b"," * (dim - 1)) * len(records)
-        or not np.isfinite(records["v"]).all()
-    ):
-        return None
-    ids = np.sort(records["id"])  # a tenth of np.unique's time at these sizes
-    return None if (ids[1:] == ids[:-1]).any() else (records["id"], records["v"])
-
-
 def load_features(path, expected_count) -> FeatureTable:
     """Load "id<TAB>v1,v2,...,vd" lines covering ids 0..expected_count-1."""
-    text = _read_text(path)
-    parsed = next(filter(None, map(_c_features, _c_bodies(text))), None)
-    if parsed is None:
-        entries = _parse_lines(path, text, _feature_parser())
-        if not entries:
-            raise DataError(f"{path}: empty feature file")
-        ids = [ent if 0 <= ent < expected_count else -1 for ent, _ in entries]  # -1 fits where 2**63 does not
-        parsed = np.array(ids, dtype=np.int64), np.array([vec for _, vec in entries])
-    ids, vectors = parsed
+    entries = list(_parsed(path, _data_lines(path), _feature_parser()))
+    if not entries:
+        raise DataError(f"{path}: empty feature file")
+    # -1 fits in int64 where 2**63 does not
+    ids = np.array([ent if 0 <= ent < expected_count else -1 for ent, _ in entries], dtype=np.int64)
+    vectors = np.array([vec for _, vec in entries])
     row_of = np.full(expected_count, -1)
-    inside = (ids >= 0) & (ids < expected_count)
+    inside = ids >= 0
     row_of[ids[inside]] = np.flatnonzero(inside)
     missing = np.flatnonzero(row_of < 0)
     if len(missing):

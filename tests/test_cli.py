@@ -567,6 +567,35 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "numeric divergence: embeddings too large to score at epoch 0\n"
         assert not (tmp_path / "none").exists()
 
+    @pytest.mark.parametrize("name, header, fault", [
+        ("interactions", "users=3 users=9", ":1: expected 'user<TAB>item', got 'users=3 users=9'"),
+        ("interactions", "items=4 items=2", ":1: expected 'user<TAB>item', got 'items=4 items=2'"),
+        ("social", "users=3 users=9", ":1: expected 'follower<TAB>followee', got 'users=3 users=9'"),
+        ("social", "items=4 items=2", ":1: expected 'follower<TAB>followee', got 'items=4 items=2'"),
+        ("interactions", "users=99999999999999999999", ": table of 99999999999999999999 x 4 is too large to index"),
+        ("interactions", "users=10 items=4000000000000000000",
+         ": table of 10 x 4000000000000000000 is too large to index"),
+        ("interactions", "users=3000000000000", ": table of 3000000000000 rows does not fit in memory"),
+    ])
+    def test_bad_header_exits_3_naming_the_file(self, tmp_path, capsys, monkeypatch, name, header, fault):
+        zeros = np.zeros
+
+        def no_memory(shape, *args, **kwargs):  # stands in for the allocation, which must not run for real
+            if shape > 10**6:
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", no_memory)
+        paths = {key: tmp_path / f"{key}.tsv" for key in ("interactions", "social")}
+        paths["interactions"].write_text("0\t1\n1\t2\n2\t3\n", encoding="utf-8")
+        paths["social"].write_text("0\t1\n1\t2\n2\t0\n", encoding="utf-8")
+        paths[name].write_text(f"{header}\n" + paths[name].read_text(encoding="utf-8"), encoding="utf-8")
+        cfg = write_config(tmp_path, synthetic="false", mode="featureless", dim=3,
+                           output_dir=str(tmp_path / "none"), **{key: str(p) for key, p in paths.items()})
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_DATA
+        assert capsys.readouterr() == ("", f"data error: {paths[name]}{fault}\n")
+        assert not (tmp_path / "none").exists()
+
     def test_config_error_exit_code_and_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, synthetic="false", interactions="r.tsv",
                            output_dir=str(tmp_path / "none"))

@@ -528,6 +528,14 @@ class TestBulkLoadersMatchLineByLine:
         with pytest.raises(D.DataError, match=r"big.tsv:3: id out of range in "):
             LOADERS[kind][0](path)
 
+    @pytest.mark.parametrize("header", ["users=3 users=9", "items=4 items=2"])
+    @pytest.mark.parametrize("kind", ["interactions", "social"])
+    def test_header_that_repeats_a_key_is_an_edge_line(self, tmp_path, kind, header):
+        fields = "user<TAB>item" if kind == "interactions" else "follower<TAB>followee"
+        path = write(tmp_path, "e.tsv", f"{header}\n0\t1\n")
+        with pytest.raises(D.DataError, match=re.escape(f"e.tsv:1: expected '{fields}', got {header!r}")):
+            LOADERS[kind][0](path)
+
     # rows where NumPy's integer reader and int() part ways, or where only
     # one of them accepts the id
     TRAP_ROWS = [
@@ -577,38 +585,23 @@ class TestBulkLoadersMatchLineByLine:
     def test_non_ascii_comments_parse_as_line_by_line(self, tmp_path, kind):
         assert not isinstance(self.check(tmp_path, kind, self.NON_ASCII_COMMENTS), str)
 
-    # files the C reader takes: after the strip pass (non-ASCII comments, or
-    # a plain file with a line of spaces or a TAB at a line's end), and plain
-    # files with spaces and empty lines, which skip it
-    C_READER_FILES = {
-        "interactions": (
-            [NON_ASCII_COMMENTS, "users=4 items=4\n  \n\t0\t1\n2\t3\t\n"],
-            "users=4 items=4\n0\t1 \n\n 2\t3\n",
-        ),
-        "social": ([NON_ASCII_COMMENTS, "users=4\n\t0\t1\n   \n2\t3\n"], "users=4\n0\t1\n\n\n 2\t3 \n"),
-        "features": (
-            ["# caf\u00e9\n1\t1.5,-2\n  # \u01fe\x1f\n0\t0.25,1e-3\n", "\t1\t1.5,-2\n  \n0\t0.25,1e-3\t\n"],
-            "1\t 1.5,-2\n\n0 \t0.25,1e-3 \n\n",
-        ),
-    }
+    # valid files with untidy lines: non-ASCII comments, a line of spaces, a
+    # TAB at either end of a line, spaces around fields, empty lines
+    UNTIDY_FILES = [
+        ("interactions", NON_ASCII_COMMENTS),
+        ("interactions", "users=4 items=4\n  \n\t0\t1\n2\t3\t\n"),
+        ("interactions", "users=4 items=4\n0\t1 \n\n 2\t3\n"),
+        ("social", NON_ASCII_COMMENTS),
+        ("social", "users=4\n\t0\t1\n   \n2\t3\n"),
+        ("social", "users=4\n0\t1\n\n\n 2\t3 \n"),
+        ("features", "# caf\u00e9\n1\t1.5,-2\n  # \u01fe\x1f\n0\t0.25,1e-3\n"),
+        ("features", "\t1\t1.5,-2\n  \n0\t0.25,1e-3\t\n"),
+        ("features", "1\t 1.5,-2\n\n0 \t0.25,1e-3 \n\n"),
+    ]
 
-    def check_c_reader(self, tmp_path, monkeypatch, kind, texts, *unneeded):
-        """Load each of `texts` with the passes named in `unneeded` made to fail; compare with the oracle."""
-        for name in unneeded:
-            monkeypatch.setattr(D, name, lambda *_, name=name: pytest.fail(f"{name} ran on a C reader file"))
-        args = [2] if kind == "features" else []
-        for k, text in enumerate(texts):
-            path = write(tmp_path, f"{k}.tsv", text)
-            assert LOADERS[kind][0](path, *args) == LOADERS[kind][1](path, *args)
-
-    @pytest.mark.parametrize("kind", sorted(LOADERS))
-    def test_plain_file_takes_the_c_reader(self, tmp_path, kind, monkeypatch):
-        self.check_c_reader(tmp_path, monkeypatch, kind, self.C_READER_FILES[kind][0], "_parse_lines")
-
-    @pytest.mark.parametrize("kind", sorted(LOADERS))
-    def test_plain_file_skips_the_strip_pass(self, tmp_path, kind, monkeypatch):
-        texts = [self.C_READER_FILES[kind][1]]
-        self.check_c_reader(tmp_path, monkeypatch, kind, texts, "_parse_lines", "_data_lines")
+    @pytest.mark.parametrize("kind,text", UNTIDY_FILES)
+    def test_untidy_files_parse_as_line_by_line(self, tmp_path, kind, text):
+        assert not isinstance(self.check(tmp_path, kind, text, *([2] if kind == "features" else [])), str)
 
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_undecodable_file_is_data_error(self, tmp_path, kind):
@@ -657,6 +650,16 @@ class TestArrayConstructors:
         edges = [(2, 0), (0, 1), (2, 1), (0, 1)]
         assert D.InteractionMatrix.from_edges(iter(edges), 3, 2) == D.InteractionMatrix.from_edges(edges, 3, 2)
         assert D.SocialGraph.from_edges((e for e in edges), 3) == D.SocialGraph.from_edges(edges, 3)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: D.InteractionMatrix.from_arrays([0], [1], 2**62, 2), f"table of {2**62} x 2 is too large to index"),
+        (lambda: D.SocialGraph.from_arrays([0], [1], 2**32), f"table of {2**32} x {2**32} is too large to index"),
+        # NumPy refuses 2**63 bytes before it allocates anything
+        (lambda: D.InteractionMatrix.from_arrays([0], [0], 2**60, 1), f"table of {2**60} rows does not fit in memory"),
+    ])
+    def test_counts_too_large_for_a_table_are_data_errors(self, make, message):
+        with pytest.raises(D.DataError, match=f"^{message}$"):
+            make()
 
     @pytest.mark.parametrize("make", [
         lambda edges: D.InteractionMatrix.from_edges(edges, 3, 4),

@@ -28,9 +28,30 @@ def write_inputs(tmp_path, users=40, items=30, seed=3):
     return paths
 
 
-# the three ways a config describes its data
+def untidy(paths):
+    """Rewrite the files at `paths` as a hand-edited dataset might read, with the same data; returns `paths`.
+
+    CRLF line ends, '#' comments with non-ASCII text, blank lines, padded
+    fields, ids written as '+7' and '007', header keys in reverse order.
+    """
+    for path in paths.values():
+        lines = ["# caf\u00e9 \u2615 \u0663", ""]
+        for k, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+            if "=" in line:
+                line = " ".join(reversed(line.split()))
+            else:
+                ent, values = line.split("\t")
+                ent = (ent, f"+{ent}", f"00{ent}")[k % 3]
+                line = f"{ent} \t  {values}" if k % 2 else f" {ent}\t{values} "
+            lines += [line] + (["", "  # \u01fe"] if k % 5 == 0 else [])
+        Path(path).write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+    return paths
+
+
+# the ways a config describes its data
 SOURCES = {
     "features": lambda paths: {**paths, "mode": "features", "dim": 4, "latent": 3},
+    "features-untidy": lambda paths: {**untidy(paths), "mode": "features", "dim": 4, "latent": 3},
     "featureless-filter": lambda paths: {
         "interactions": paths["interactions"],
         "social": paths["social"],
@@ -113,6 +134,13 @@ class TestExactAgainstParse:
             assert bits(getattr(bundle, name)) == bits(getattr(want, name)), name
         assert (bundle.user_features is None) == (source == "featureless-filter")
         assert fingerprint == want.fingerprint()
+
+    def test_untidy_files_hold_the_tidy_dataset(self, tmp_path):
+        fingerprints = set()
+        for source in ("features", "features-untidy"):
+            (tmp_path / source).mkdir()
+            fingerprints.add(cli.build_bundle(cli.parse_config(write_config(tmp_path / source, source))).fingerprint())
+        assert len(fingerprints) == 1
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_outputs_equal_on_hit_and_miss(self, tmp_path, capsys, source, monkeypatch):
