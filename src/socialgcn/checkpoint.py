@@ -34,7 +34,6 @@ class CheckpointError(Exception):
 
 @dataclass
 class Checkpoint:
-    version: int
     hypers: HyperParams
     params: ModelParams
     fingerprint: str
@@ -182,7 +181,6 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: header 'frozen' must list block names, got {frozen!r}")
     params = ModelParams(arrays, frozen=frozen)
     return Checkpoint(
-        version=VERSION,
         hypers=_hypers(path, header["hyperparams"]),
         params=params,
         fingerprint=header["fingerprint"],

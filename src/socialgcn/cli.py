@@ -115,6 +115,8 @@ class RunConfig:
             raise ConfigError(f"n must list distinct cutoffs, got {self.n}")
         if not self.variants:
             raise ConfigError("variants must list at least one ablation variant")
+        if len(set(self.variants)) < len(self.variants):
+            raise ConfigError(f"variants must list distinct variants, got {self.variants}")
         for name in self.variants:
             if name not in E.ABLATION_VARIANTS:
                 raise ConfigError(
@@ -150,7 +152,7 @@ def _coerce(name, ftype, raw):
 
 def parse_config(path):
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    values = {}
+    values, first = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -166,6 +168,9 @@ def parse_config(path):
         key = key.strip()
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice (first on line {first[key]})")
+        first[key] = lineno
         values[key] = _coerce(key, types[key], val.strip())
     return RunConfig(**values)
 

@@ -122,91 +122,62 @@ def order_keys(scores):
     return keys
 
 
-def _blocks(tasks):
+def _blocks(counts, width):
     """Bounds of consecutive runs of tasks with about _BLOCK_PAIRS positive x candidate pairs each."""
-    width = max(len(t.candidates) for t in tasks)
-    cost = np.fromiter(map(len, (t.positives for t in tasks)), dtype=np.int64, count=len(tasks)) * width
+    cost = counts * width
     block = (np.cumsum(cost) - cost) // _BLOCK_PAIRS
-    bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(tasks)]
+    bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(counts)]
     return list(itertools.pairwise(bounds))
 
 
-def _ids(rows):
-    """Every id of `rows` (int arrays or lists) in one int64 array, row after row."""
-    return np.concatenate([np.asarray(row, dtype=np.int64) for row in rows])
-
-
-def _distinct_positives(tasks):
-    """(task index, item id) of every distinct positive, by task and then by ascending id."""
-    lengths = np.fromiter(map(len, (t.positives for t in tasks)), dtype=np.int64, count=len(tasks))
-    rows = np.repeat(np.arange(len(tasks)), lengths)
-    pos = _ids(t.positives for t in tasks)
-    order = np.lexsort((pos, rows))
-    rows, pos = rows[order], pos[order]
-    distinct = np.ones(len(pos), dtype=bool)
-    distinct[1:] = (rows[1:] != rows[:-1]) | (pos[1:] != pos[:-1])
-    return rows[distinct], pos[distinct]
-
-
-def _rank_block(tasks, scorer, rows, pos, slot):
-    """Rank of each positive `pos` among the candidates of tasks[rows].
+def _rank_block(tasks, scorer, counts):
+    """Rank of every positive of `tasks`, task by task, each with counts[t] positives.
 
     A positive's rank is how many of its task's candidates beat it: a higher
-    key, or an equal key and a lower id. One that is not a candidate ranks
-    int64 max, which no cutoff reaches. Each positive is looked for at its
-    `slot` first, and its task's candidates are searched only where it is
-    not there.
+    key, or an equal key and a lower id. Positive j of task t is its
+    candidate j.
     """
     sizes = np.fromiter(map(len, (t.candidates for t in tasks)), dtype=np.int64, count=len(tasks))
-    slots = np.arange(max(sizes.max(), 1)) < sizes[:, None]
+    slots = np.arange(sizes.max()) < sizes[:, None]
     keys = np.full(slots.shape, _INT64.min)  # padding never beats a candidate
     ids = np.full(slots.shape, _INT64.max)
     keys[slots] = order_keys(np.concatenate([scorer(t) for t in tasks]))
-    ids[slots] = _ids(t.candidates for t in tasks)
-    slot = np.minimum(slot, slots.shape[1] - 1)
-    miss = np.flatnonzero(ids[rows, slot] != pos)
-    match = ids[rows[miss]] == pos[miss, None]
-    slot[miss] = match.argmax(axis=1)
+    ids[slots] = np.concatenate([t.candidates for t in tasks])
+    rows, col = np.nonzero(np.arange(counts.max()) < counts[:, None])
     row_keys = keys[rows]
-    own = row_keys[np.arange(len(rows)), slot][:, None]
+    own = keys[rows, col][:, None]
     ranks = np.count_nonzero(row_keys > own, axis=1)
     tied = np.flatnonzero(np.count_nonzero(row_keys >= own, axis=1) > ranks + 1)
-    ranks[tied] += np.count_nonzero((row_keys[tied] == own[tied]) & (ids[rows[tied]] < pos[tied, None]), axis=1)
-    ranks[miss[~match.any(axis=1)]] = _INT64.max
+    pos = ids[rows[tied], col[tied]][:, None]
+    ranks[tied] += np.count_nonzero((row_keys[tied] == own[tied]) & (ids[rows[tied]] < pos), axis=1)
     return ranks
 
 
 def evaluate_tasks(tasks, scorer, n_values):
     """Mean metrics over tasks given scorer(task) -> candidate score array.
 
-    Candidates are distinct ids. Every positive is ranked by how many
-    candidates beat it in the order of order_keys: a higher key, or an
-    equal key and a lower id. Ranking runs in blocks of tasks; the cutoffs
-    then read one rank table of all tasks. DCG sums run in rank order and
-    the means over tasks in task order, each from 0.0, so the results equal
-    the scalar HR@N and NDCG@N of that order, task by task (`hit_ratio_at_n`
-    and `ndcg_at_n` in tests/oracle.py).
+    Each task is laid out as build_tasks makes it: its positives are
+    distinct, ascending and non-empty, they come first among its
+    candidates, and the sampled candidates after them are distinct and no
+    positive. Every positive is ranked by how many candidates beat it in
+    the order of order_keys: a higher key, or an equal key and a lower id.
+    Ranking runs in blocks of tasks; the cutoffs then read one rank table
+    of all tasks. DCG sums run in rank order and the means over tasks in
+    task order, each from 0.0, so the results equal the scalar HR@N and
+    NDCG@N of that order, task by task (`hit_ratio_at_n` and `ndcg_at_n` in
+    tests/oracle.py).
     """
     sums = {(m, n): 0.0 for m in ("hr", "ndcg") for n in n_values}
-    if not all(map(len, (t.positives for t in tasks))):
-        raise EvaluationError("every ranking task needs a non-empty positive set")
     if not tasks:
         return sums
-    rows, pos = _distinct_positives(tasks)
-    counts = np.bincount(rows, minlength=len(tasks))
-    ptr = np.concatenate(([0], np.cumsum(counts)))
-    # each positive's index among its task's distinct positives; build_tasks'
-    # candidates start with the ascending positives, so it is also the likely slot
-    col = np.arange(len(rows)) - ptr[rows]
-    ranks = np.concatenate([
-        _rank_block(tasks[a:b], scorer, rows[ptr[a] : ptr[b]] - a, pos[ptr[a] : ptr[b]], col[ptr[a] : ptr[b]])
-        for a, b in _blocks(tasks)
-    ])
+    counts = np.fromiter(map(len, (t.positives for t in tasks)), dtype=np.int64, count=len(tasks))
+    width = max(map(len, (t.candidates for t in tasks)))
+    ranks = np.concatenate([_rank_block(tasks[a:b], scorer, counts[a:b]) for a, b in _blocks(counts, width)])
     table = np.full((len(tasks), counts.max()), _INT64.max)
-    table[rows, col] = ranks
+    table[np.arange(counts.max()) < counts[:, None]] = ranks
     table.sort(axis=1)
     # a hit ranks below its task's candidate count, and ideal reads at most the positive count
-    depth = min(max(n_values), max(max(map(len, (t.candidates for t in tasks))), counts.max()))
+    depth = min(max(n_values), max(width, counts.max()))
     discount = np.array([1.0 / math.log2(rank + 1) for rank in range(1, depth + 1)])
     ideal = np.array(list(itertools.accumulate(discount.tolist(), initial=0.0)))  # DCG of m hits on top
     for n in n_values:
@@ -303,6 +274,8 @@ def run_ablation(bundle, base_hypers, train_config, eval_config, variants):
 
     if not variants:
         raise EvaluationError("variants must list at least one ablation variant")
+    if len(set(variants)) < len(variants):
+        raise EvaluationError(f"variants must list distinct variants, got {list(variants)}")
     if 10 not in eval_config.n_values:
         eval_config = replace(eval_config, n_values=sorted(set(eval_config.n_values) | {10}))
     results = []

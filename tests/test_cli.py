@@ -11,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -125,6 +126,20 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="latent"):
             cli.parse_config(path).validate()
 
+    def test_repeated_key_exits_2_naming_both_lines(self, tmp_path, capsys):
+        once = write_config(tmp_path)
+        lines = Path(once).read_text(encoding="utf-8").splitlines()
+        line = lines.index("seed=5") + 1
+        lines[line - 1 : line] = ["seed=1", "seed=2"]
+        path = tmp_path / "twice.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["train", "--config", str(path), "--seed", "3"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {path}:{line + 1}: config key 'seed' given twice (first on line {line})\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        # a flag still overrides the file's one value of a key
+        assert cli._load_config(cli.build_parser().parse_args(["train", "--config", once, "--seed", "3"])).seed == 3
+
     def test_unknown_variant_is_config_error(self, tmp_path):
         path = write_config(tmp_path, variants="full,bogus")
         with pytest.raises(cli.ConfigError, match="bogus"):
@@ -194,12 +209,14 @@ class TestConfig:
 
 
 def malformed_line(draw):
-    """(line, key, message start) of a config line that parse_config or validate rejects.
+    """(text, key, message start) of one or more config lines, joined by newlines, that parse_config or validate rejects.
 
-    The message names `key`; with `key` None it follows the file and line number.
+    The message names `key`; with `key` None it follows the file and the number of the text's last line.
     """
     text = st.text(alphabet=TEXT, min_size=1).filter(lambda t: t.strip() and not t.strip().startswith("#"))
-    kind = draw(st.sampled_from(["no-equals", "unknown-key", "unparsable", "out-of-range", "empty-list", "repeated-n"]))
+    kinds = ["no-equals", "unknown-key", "unparsable", "out-of-range", "empty-list", "repeated-n", "repeated-variants",
+             "repeated-key"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "no-equals":
         return draw(text.filter(lambda t: "=" not in t)), None, "expected key=value"
     if kind == "unknown-key":
@@ -216,6 +233,16 @@ def malformed_line(draw):
         cutoffs = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
         cutoffs.insert(draw(st.integers(0, len(cutoffs))), draw(st.sampled_from(cutoffs)))
         return f"n={','.join(map(str, cutoffs))}", "n", "n must list distinct cutoffs"
+    if kind == "repeated-variants":
+        variants = draw(st.lists(st.sampled_from(E.ABLATION_VARIANTS), min_size=1, max_size=4))
+        variants.insert(draw(st.integers(0, len(variants))), draw(st.sampled_from(variants)))
+        return f"variants={','.join(variants)}", "variants", f"variants must list distinct variants, got {variants}"
+    if kind == "repeated-key":
+        key = draw(st.sampled_from(sorted(RUN_FIELDS)))
+        default = getattr(cli.RunConfig(), key)
+        value = ",".join(map(str, default)) if isinstance(default, list) else default
+        again = draw(st.text(alphabet=TEXT))
+        return f"{key}={value}\n{key}={again}", None, f"config key {key!r} given twice (first on line "
     key = draw(st.sampled_from([k for k, f in RUN_FIELDS.items() if f.metadata.get("within") or f.metadata.get("choices")]))
     f = RUN_FIELDS[key]
     if f.metadata["choices"]:
@@ -279,16 +306,18 @@ class TestConfigFuzz:
     def test_malformed_config_exits_2_naming_key_or_line(self, tmp_path_factory, data):
         root = tmp_path_factory.mktemp("cfg")
         lines = Path(write_config(root)).read_text(encoding="utf-8").splitlines()
-        line, key, message = malformed_line(data.draw)
-        lines = [l for l in lines if l.partition("=")[0] != key]
+        bad, key, message = malformed_line(data.draw)
+        bad = bad.split("\n")
+        # the base line of the key that the bad lines set goes, so that only they set it
+        lines = [l for l in lines if l.partition("=")[0] != bad[0].partition("=")[0].strip()]
         at = data.draw(st.integers(0, len(lines)))
-        lines.insert(at, line)
+        lines[at:at] = bad
         path = root / "bad.cfg"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
-        named = message if key else f"{path}:{at + 1}: {message}"
+        named = message if key else f"{path}:{at + len(bad)}: {message}"
         assert err.getvalue().startswith(f"config error: {named}")
         assert not (root / "out").exists()
 
@@ -1030,6 +1059,15 @@ class TestAblateCommand:
         out = capsys.readouterr().out
         assert "+0.00%" in out
         assert (tmp_path / "out" / "ablation.tsv").exists()
+
+    def test_repeated_variants_exit_2_writing_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, variants="full,full,k1")
+        with mock.patch.object(T, "train", side_effect=AssertionError("trained")):
+            assert cli.main(["ablate", "--config", cfg]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "config error: variants must list distinct variants, got ['full', 'full', 'k1']\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_empty_variants_exits_2_writing_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, variants="")

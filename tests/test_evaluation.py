@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -258,10 +259,11 @@ class TestEvaluate:
         tasks = E.build_tasks(b, num_negatives=15, repetition_seed=1)
         scorer = lambda t: V[np.asarray(t.candidates)] @ U[t.user]
         base = E.evaluate_tasks(tasks, scorer, [10])
+        rng = np.random.default_rng(0)
         for t in tasks:
-            t.candidates = t.candidates[::-1]
-        flipped = E.evaluate_tasks(tasks, scorer, [10])
-        assert base == flipped
+            t.candidates = np.concatenate((t.positives, rng.permutation(t.candidates[len(t.positives) :])))
+        shuffled = E.evaluate_tasks(tasks, scorer, [10])
+        assert base == shuffled
 
     def test_repetition_seeding_contract(self):
         b = D.generate_synthetic(D.SyntheticSpec(users=15, items=30, seed=6))
@@ -345,6 +347,14 @@ class TestAblation:
         assert len(rows) == 1
         assert rows[0].hr_change == "+0.00%" and rows[0].ndcg_change == "+0.00%"
 
+    def test_repeated_variants_rejected_before_training(self):
+        bundle = D.generate_synthetic(D.SyntheticSpec(users=20, items=15, seed=9))
+        tc = T.TrainConfig(max_epochs=1)
+        message = re.escape("variants must list distinct variants, got ['full', 'full', 'k1']")
+        with mock.patch.object(T, "train", side_effect=AssertionError("trained")):
+            with pytest.raises(E.EvaluationError, match=f"^{message}$"):
+                E.run_ablation(bundle, M.HyperParams(D=3, L=2), tc, E.EvalConfig(), ("full", "full", "k1"))
+
     def test_empty_variants_rejected_before_training(self):
         bundle = D.generate_synthetic(D.SyntheticSpec(users=20, items=15, seed=9))
         tc = T.TrainConfig(max_epochs=1)
@@ -355,15 +365,14 @@ class TestAblation:
 
 @st.composite
 def ranking_tasks(draw):
-    """Tasks with distinct candidates, heavily tied scores, and positives that may
-    repeat, miss the candidates or cover them all; plus score tables by id."""
+    """Tasks laid out as build_tasks makes them, with heavily tied scores: distinct
+    ascending positives, then a distinct sampled tail, possibly empty, that avoids
+    them; plus score tables by id."""
     tasks, scores = [], {}
     for user in range(draw(st.integers(0, 7))):
-        candidates = draw(st.lists(st.integers(0, 60), unique=True, max_size=25))
-        choices = [st.lists(st.integers(0, 60), min_size=1, max_size=4)]
-        if candidates:
-            choices += [st.just(list(candidates)), st.lists(st.sampled_from(candidates), min_size=1)]
-        positives = draw(st.one_of(choices))
+        positives = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=8)))
+        unrated = sorted(set(range(61)) - set(positives))
+        candidates = positives + draw(st.lists(st.sampled_from(unrated), unique=True, max_size=25))
         tied = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf, math.nan])
         values = draw(st.lists(tied | st.floats(-3, 3), min_size=len(candidates), max_size=len(candidates)))
         scores[user] = dict(zip(candidates, values))
@@ -380,13 +389,12 @@ class TestBatchedEvaluateTasks:
     @given(
         drawn=ranking_tasks(),
         n_values=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
-        reverse=st.booleans(),
+        data=st.data(),
     )
-    def test_bit_identical_to_per_task_reference(self, drawn, n_values, reverse):
+    def test_bit_identical_to_per_task_reference(self, drawn, n_values, data):
         tasks, scores = drawn
-        if reverse:
-            for t in tasks:
-                t.candidates = t.candidates[::-1]
+        for t in tasks:
+            t.candidates = t.positives + data.draw(st.permutations(t.candidates[len(t.positives) :]))
 
         def scorer(task):
             return np.array([scores[task.user][c] for c in task.candidates])
@@ -400,16 +408,10 @@ class TestBatchedEvaluateTasks:
         drawn=ranking_tasks(),
         n_values=st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
         budget=st.sampled_from([1, 4, 16, 64]),
-        positives_first=st.booleans(),
     )
-    def test_bit_identical_to_reference_across_blocks(self, drawn, n_values, budget, positives_first):
-        # a small _BLOCK_PAIRS splits the drawn tasks over many blocks; with positives_first the
-        # candidates start with their ascending positives, as build_tasks lays them out
+    def test_bit_identical_to_reference_across_blocks(self, drawn, n_values, budget):
+        # a small _BLOCK_PAIRS splits the drawn tasks over many blocks
         tasks, scores = drawn
-        if positives_first:
-            for t in tasks:
-                front = sorted(set(t.positives) & set(t.candidates))
-                t.candidates = front + [c for c in t.candidates if c not in front]
 
         def scorer(task):
             return np.array([scores[task.user][c] for c in task.candidates])
@@ -424,7 +426,8 @@ class TestBatchedEvaluateTasks:
         params = M.init_params(hy, 150, 300, 8, 8, seed=0)
         U, V, _ = M.forward_all(params, hy, b)
         tasks = E.build_tasks(b, num_negatives=1000, repetition_seed=2)
-        assert len(E._blocks(tasks)) > 1
+        counts = np.array([len(t.positives) for t in tasks])
+        assert len(E._blocks(counts, max(len(t.candidates) for t in tasks))) > 1
         scorer = lambda t: V[np.asarray(t.candidates)] @ U[t.user]
         n_values = [1, 5, 10, 400]
         assert self.hexes(E.evaluate_tasks(tasks, scorer, n_values)) == self.hexes(
