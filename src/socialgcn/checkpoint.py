@@ -85,7 +85,7 @@ def save_checkpoint(path, hypers, params, fingerprint, log_tail=(), meta=None):
         "fingerprint": fingerprint,
         "log_tail": list(log_tail),
         "meta": meta or {},
-        "frozen": sorted(params.frozen),
+        "frozen": ["P"] if hypers.pin_user_base else [],  # kept for the file's bytes; not read
     }
     _write_container(path, MAGIC, header, [(name, arr.astype("<f8", copy=False)) for name, arr in params.items()])
 
@@ -176,13 +176,9 @@ def _read_container(path, magic, kind, required, dtypes):
 
 def load_checkpoint(path):
     header, arrays = _read_container(path, MAGIC, "checkpoint", ("hyperparams", "fingerprint"), ("<f8",))
-    frozen = header.get("frozen", [])
-    if not isinstance(frozen, list) or not all(isinstance(n, str) and n in arrays for n in frozen):
-        raise CheckpointError(f"{path}: header 'frozen' must list block names, got {frozen!r}")
-    params = ModelParams(arrays, frozen=frozen)
     return Checkpoint(
         hypers=_hypers(path, header["hyperparams"]),
-        params=params,
+        params=ModelParams(arrays),
         fingerprint=header["fingerprint"],
         log_tail=header.get("log_tail", []),
         meta=header.get("meta", {}),

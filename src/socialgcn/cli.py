@@ -113,15 +113,10 @@ class RunConfig:
             raise ConfigError(f"n must list cutoffs >= 1, got {self.n}")
         if len(set(self.n)) < len(self.n):
             raise ConfigError(f"n must list distinct cutoffs, got {self.n}")
-        if not self.variants:
-            raise ConfigError("variants must list at least one ablation variant")
-        if len(set(self.variants)) < len(self.variants):
-            raise ConfigError(f"variants must list distinct variants, got {self.variants}")
-        for name in self.variants:
-            if name not in E.ABLATION_VARIANTS:
-                raise ConfigError(
-                    f"unknown ablation variant {name!r}; valid: {', '.join(E.ABLATION_VARIANTS)}"
-                )
+        try:
+            E.check_variants(self.variants)
+        except E.EvaluationError as exc:
+            raise ConfigError(str(exc)) from None
 
     def build(self, cls):
         """The library config `cls`: each field from the setting that feeds it, or else from the setting of its name."""

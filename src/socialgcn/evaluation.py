@@ -241,10 +241,20 @@ _VARIANTS = {
 ABLATION_VARIANTS = tuple(_VARIANTS)
 
 
+def check_variants(variants):
+    """Raise an EvaluationError unless `variants` lists distinct known variant names, at least one."""
+    if not variants:
+        raise EvaluationError("variants must list at least one ablation variant")
+    if len(set(variants)) < len(variants):
+        raise EvaluationError(f"variants must list distinct variants, got {list(variants)}")
+    for name in variants:
+        if name not in _VARIANTS:
+            raise EvaluationError(f"unknown ablation variant {name!r}; valid: {', '.join(ABLATION_VARIANTS)}")
+
+
 def variant_hypers(base, name):
     """Hyperparameters for one named ablation variant of `base`."""
-    if name not in _VARIANTS:
-        raise EvaluationError(f"unknown ablation variant {name!r}; valid: {', '.join(ABLATION_VARIANTS)}")
+    check_variants([name])
     return _VARIANTS[name](base)
 
 
@@ -272,10 +282,7 @@ def run_ablation(bundle, base_hypers, train_config, eval_config, variants):
     """
     from . import training
 
-    if not variants:
-        raise EvaluationError("variants must list at least one ablation variant")
-    if len(set(variants)) < len(variants):
-        raise EvaluationError(f"variants must list distinct variants, got {list(variants)}")
+    check_variants(variants)
     if 10 not in eval_config.n_values:
         eval_config = replace(eval_config, n_values=sorted(set(eval_config.n_values) | {10}))
     results = []

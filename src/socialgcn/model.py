@@ -42,7 +42,7 @@ class HyperParams:
     feature_mode: str = setting(FEATURES, choices=(FEATURES, FEATURELESS))
     aggregator: str = setting(AGG_AVERAGE, choices=(AGG_AVERAGE, AGG_MAX))
     use_bias: bool = True
-    pin_user_base: bool = False  # the "P=0" ablation: P frozen at zero
+    pin_user_base: bool = False  # the "P=0" ablation: P is a constant zero
 
     def __post_init__(self):
         check(HyperParams, vars(self), ModelError)
@@ -58,26 +58,26 @@ class ModelParams:
     """Named tensors, in insertion order, as views into one float64 vector `flat`.
 
     Parameters, gradients and Adam's moments share the layout. Assignment writes
-    into a tensor's view and must match its shape. Adam leaves `frozen` ones unchanged.
+    into a tensor's view and must match its shape.
     """
 
-    def __init__(self, arrays, frozen=()):
+    def __init__(self, arrays):
         arrays = dict(arrays)
         layout, stop = {}, 0
         for name, value in arrays.items():
             start, stop = stop, stop + np.size(value)
             layout[name] = (slice(start, stop), np.shape(value))
-        self._bind(layout, np.empty(stop), frozen)
+        self._bind(layout, np.empty(stop))
         for name, value in arrays.items():
             self[name] = value
 
-    def _bind(self, layout, flat, frozen):
-        self._layout, self.flat, self.frozen = layout, flat, set(frozen)
+    def _bind(self, layout, flat):
+        self._layout, self.flat = layout, flat
         self._views = {name: flat[span].reshape(shape) for name, (span, shape) in layout.items()}
         return self
 
     def _like(self, flat):
-        return object.__new__(ModelParams)._bind(self._layout, flat, self.frozen)
+        return object.__new__(ModelParams)._bind(self._layout, flat)
 
     def __getitem__(self, name):
         return self._views[name]
@@ -102,14 +102,6 @@ class ModelParams:
 
     def all_finite(self):
         return bool(np.isfinite(self.flat).all())
-
-    def trainable_names(self):
-        return [k for k in self._views if k not in self.frozen]
-
-    def trainable_mask(self):
-        """Boolean vector over `flat`, False on the frozen tensors."""
-        sizes = [v.size for v in self._views.values()]
-        return np.repeat([k not in self.frozen for k in self._views], sizes)
 
 
 def layer_weight_name(k):
@@ -142,7 +134,8 @@ def init_params(hypers, num_users, num_items, user_dim=0, item_dim=0, seed=0):
     """Initialize all tensors for the active mode, drawing in layout order.
 
     Free vectors P, Q start uniform in (-0.01, 0.01); transforms use a
-    symmetric fan-scaled uniform range; biases start at zero.
+    symmetric fan-scaled uniform range; biases start at zero. A pinned P
+    starts at zero, and stays there because backward_all gives it no gradient.
     """
     rng = np.random.default_rng(seed)
     arrays = {}
@@ -152,12 +145,9 @@ def init_params(hypers, num_users, num_items, user_dim=0, item_dim=0, seed=0):
         else:
             lim = 0.01 if name in ("P", "Q") else math.sqrt(6.0 / sum(shape))
             arrays[name] = rng.uniform(-lim, lim, size=shape)
-
-    frozen = set()
     if hypers.pin_user_base:
         arrays["P"] = np.zeros_like(arrays["P"])  # after its draw, so the other tensors' draws stay put
-        frozen.add("P")
-    return ModelParams(arrays, frozen)
+    return ModelParams(arrays)
 
 
 def relu(x, out=None):
@@ -336,7 +326,7 @@ def backward_all(params, hypers, bundle, V, state, gU, gV, grads):
     Zeroes `grads`, a buffer in params' layout, adds the gradients into it
     and returns it. Runs the history term, then the K diffusion layers from
     the last with each aggregator's backward, then W0 and F, or P and Q
-    when featureless.
+    when featureless. A pinned P gets no gradient, so Adam leaves it at zero.
     """
     D, layers = hypers.D, state.layers
     grads.flat.fill(0.0)
@@ -359,12 +349,13 @@ def backward_all(params, hypers, bundle, V, state, gU, gV, grads):
             has = winners[:, 0] >= 0
             np.add.at(gH.reshape(-1), (winners[has] * D + np.arange(D)).ravel(), gAgg[has].ravel())
 
-    gP, gQ = grads["P"], grads["Q"]
-    if not hypers.with_features:
+    if hypers.with_features:  # then gH and gV_total become dL/dP and dL/dQ
+        d1 = bundle.user_features.dim
+        gH = dense_backward(params, grads, "W0", "b0", state.inputs["W0"], layers[0], gH, slice(d1, None))
+        gV_total = dense_backward(params, grads, "F", "bF", state.inputs["F"], V, gV_total, slice(hypers.L))
+    gQ = grads["Q"]
+    gQ += gV_total
+    if not hypers.pin_user_base:
+        gP = grads["P"]
         gP += gH
-        gQ += gV_total
-        return grads
-    d1 = bundle.user_features.dim
-    gP += dense_backward(params, grads, "W0", "b0", state.inputs["W0"], layers[0], gH, slice(d1, None))
-    gQ += dense_backward(params, grads, "F", "bF", state.inputs["F"], V, gV_total, slice(hypers.L))
     return grads

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import expit
 
 from . import model as M
 from .bounds import check, setting
@@ -147,6 +146,9 @@ def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg, work):
     num_users, num_items = bundle.num_users, bundle.num_items
 
     if batch:
+        # imported here, so that commands that never train do not load scipy.special
+        from scipy.special import expit
+
         loss, Uu, Vd, margins = _pair_terms(U, V, batch)
         dm = (-expit(-margins) / len(batch))[:, None]
         # bincount adds each flat index's weights from 0.0 in input order,
@@ -185,9 +187,8 @@ def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg, work):
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, and what every step reuses: the mask over
-    `flat` of the tensors it updates (True when none is frozen) and two
-    scratch vectors, made once from m's layout and `frozen` set.
+    """Adam's moments and step count, and the two scratch vectors every step
+    reuses, made once in m's layout.
     """
 
     m: M.ModelParams
@@ -196,11 +197,9 @@ class AdamState:
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
     eps: ClassVar[float] = 1e-8
-    trainable: np.ndarray | bool = field(init=False, repr=False)
     scratch: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.trainable = self.m.trainable_mask() if self.m.frozen else True
         self.scratch = np.empty_like(self.m.flat), np.empty_like(self.m.flat)
 
     @classmethod
@@ -209,11 +208,13 @@ class AdamState:
 
 
 def adam_step(params, adam, grads, lr):
-    """Adam step with bias correction on `flat`; frozen tensors update only their moments.
+    """Adam step with bias correction on `flat`, every tensor at once.
 
     Works in place through `adam.scratch` and only reads `grads`. It runs the
     operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in their order.
+    A tensor whose gradient is always +0.0, as a pinned P's is, keeps its
+    values: its moments stay 0, so its step is 0 * lr / eps.
     """
     adam.step += 1
     t = adam.step
@@ -232,10 +233,10 @@ def adam_step(params, adam, grads, lr):
     np.sqrt(b, out=b)
     b += adam.eps
     a /= b
-    np.subtract(params.flat, a, out=params.flat, where=adam.trainable)
+    params.flat -= a
     if not (params.all_finite() and np.isfinite(m).all() and np.isfinite(v).all()):
-        for name in params.trainable_names():
-            if not np.isfinite(params[name]).all():
+        for name, value in params.items():
+            if not np.isfinite(value).all():
                 raise DivergenceError(f"non-finite values in {name} after Adam step {t}")
             if not (np.isfinite(adam.m[name]).all() and np.isfinite(adam.v[name]).all()):
                 raise DivergenceError(f"non-finite Adam moments in {name} after Adam step {t}")

@@ -154,7 +154,7 @@ def sample_pairs(train, negatives_per_positive, rng_seed, epoch=0):
 
 
 def adam_step(params, adam, grads, lr):
-    """Adam one tensor at a time, in layout order; frozen tensors update only their moments."""
+    """Adam one tensor at a time, in layout order."""
     adam.step += 1
     t = adam.step
     b1, b2 = adam.beta1, adam.beta2
@@ -162,8 +162,6 @@ def adam_step(params, adam, grads, lr):
         g = grads[name]
         adam.m[name] = b1 * adam.m[name] + (1.0 - b1) * g
         adam.v[name] = b2 * adam.v[name] + (1.0 - b2) * g * g
-        if name in params.frozen:
-            continue
         mhat = adam.m[name] / (1.0 - b1**t)
         vhat = adam.v[name] / (1.0 - b2**t)
         params[name] = params[name] - lr * mhat / (np.sqrt(vhat) + adam.eps)
@@ -254,13 +252,16 @@ def finite_difference_check(
         grad_fn = lambda p: compute_gradients(p, hypers, bundle, batch, lambda_reg)
     rng = np.random.default_rng(seed)
     work = params.copy()
+    # a pinned P is a constant of the model: it has no gradient to check, and stays at zero
+    pinned = hypers is not None and hypers.pin_user_base
+    names = [name for name, _ in work.items() if not (pinned and name == "P")]
     report = None
     for attempt in range(retries + 1):
         grads = grad_fn(work)
         max_err = 0.0
         worst = ""
         checked = 0
-        for name in work.trainable_names():
+        for name in names:
             arr = work[name]
             flat_idx = np.arange(arr.size)
             if max_coords is not None and arr.size > max_coords:
@@ -284,7 +285,7 @@ def finite_difference_check(
         if report.passed or attempt == retries:
             return report
         # jitter away from a suspected kink and retry
-        for name in work.trainable_names():
+        for name in names:
             work[name] = work[name] + rng.uniform(-jitter, jitter, size=work[name].shape)
     return report
 

@@ -419,10 +419,6 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "entry,value",
         [
-            ("frozen", 5),
-            ("frozen", [["x"]]),
-            ("frozen", "P"),
-            ("frozen", ["nope"]),
             ("D", 4.5),
             ("K", True),
             ("L", 0),
@@ -433,10 +429,7 @@ class TestCheckpoint:
         hy, params = self.make()
         path = tmp_path / "j.bin"
         save_checkpoint(path, hy, params, "fp")
-        if entry == "frozen":
-            self.rewrite_header(path, lambda h: h.update(frozen=value))
-        else:
-            self.rewrite_header(path, lambda h: h["hyperparams"].update({entry: value}))
+        self.rewrite_header(path, lambda h: h["hyperparams"].update({entry: value}))
         with pytest.raises(CheckpointError, match=f"'{entry}'"):
             load_checkpoint(path)
 
@@ -1050,6 +1043,17 @@ class TestParser:
              "repetitions": None, "allow_mismatch": False},
         ]
         assert cli.build_parser() is cli.build_parser()
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # evaluate, predict and synth never train, so a fresh process need not load scipy.special
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, socialgcn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestAblateCommand:

@@ -331,12 +331,12 @@ class TestAblation:
         assert fl.feature_mode == M.FEATURELESS and fl.L == 4 and fl.K == 2
         assert E.variant_hypers(base, "p0").pin_user_base
 
-    def test_p0_has_fewer_trainable_parameters(self):
-        base = M.HyperParams(D=4, L=3, K=2)
-        full = M.init_params(base, 20, 15, 8, 8, seed=0)
-        pinned = M.init_params(E.variant_hypers(base, "p0"), 20, 15, 8, 8, seed=0)
-        assert full.trainable_mask().sum() - pinned.trainable_mask().sum() == 20 * 3
-        assert np.array_equal(pinned["P"], np.zeros((20, 3)))
+    def test_p0_training_keeps_p_at_positive_zero(self):
+        bundle = D.generate_synthetic(D.SyntheticSpec(users=20, items=18, seed=9))
+        hy = E.variant_hypers(M.HyperParams(D=3, L=2, K=1), "p0")
+        params, log = T.train(bundle, hy, T.TrainConfig(max_epochs=2, batch_size=64, seed=0, val_negatives=10))
+        assert len(log) == 2
+        assert params["P"].tobytes() == bytes(params["P"].nbytes)
 
     def test_full_only_run_has_zero_delta(self):
         bundle = D.generate_synthetic(D.SyntheticSpec(users=20, items=18, seed=9))
@@ -354,6 +354,13 @@ class TestAblation:
         with mock.patch.object(T, "train", side_effect=AssertionError("trained")):
             with pytest.raises(E.EvaluationError, match=f"^{message}$"):
                 E.run_ablation(bundle, M.HyperParams(D=3, L=2), tc, E.EvalConfig(), ("full", "full", "k1"))
+
+    def test_unknown_variant_rejected_before_training(self):
+        bundle = D.generate_synthetic(D.SyntheticSpec(users=20, items=15, seed=9))
+        tc = T.TrainConfig(max_epochs=1)
+        with mock.patch.object(T, "train", side_effect=AssertionError("trained")):
+            with pytest.raises(E.EvaluationError, match="^unknown ablation variant 'bogus'; valid: full, k1,"):
+                E.run_ablation(bundle, M.HyperParams(D=3, L=2), tc, E.EvalConfig(), ["full", "bogus"])
 
     def test_empty_variants_rejected_before_training(self):
         bundle = D.generate_synthetic(D.SyntheticSpec(users=20, items=15, seed=9))

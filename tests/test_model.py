@@ -45,14 +45,13 @@ def passthrough_params(D_, K):
 class TestModelParams:
     def test_views_share_one_flat_vector(self):
         a, b = np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0])
-        params = M.ModelParams({"a": a, "b": b}, frozen={"b"})
+        params = M.ModelParams({"a": a, "b": b})
         assert np.array_equal(params.flat, np.concatenate([a.ravel(), b]))
         params["b"] = np.array([-1.0, -2.0])
         params["a"][1, 2] = 9.0
         assert params.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 9.0, -1.0, -2.0]
-        assert params.trainable_mask().tolist() == [True] * 6 + [False] * 2
         for other in (params.copy(), params.zeros_like()):
-            assert [name for name, _ in other.items()] == ["a", "b"] and other.frozen == {"b"}
+            assert [name for name, _ in other.items()] == ["a", "b"]
             other.flat[:] = 5.0
             assert np.array_equal(other["a"], np.full((2, 3), 5.0))
         assert params.flat[0] == 0.0

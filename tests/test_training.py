@@ -297,7 +297,8 @@ class TestGradients:
     def test_gradient_sweep_configurations(self):
         # K in {0,1,2}, both modes, both aggregators, users with empty ego
         # nets and empty histories (synthetic bundles always contain some
-        # empty validation-only users after splitting at this scale)
+        # empty validation-only users after splitting at this scale); each
+        # also with P pinned, whose gradient must be exactly +0.0
         case = 0
         for K in (0, 1, 2):
             for mode in (M.FEATURES, M.FEATURELESS):
@@ -305,13 +306,17 @@ class TestGradients:
                     case += 1
                     bundle = tiny_bundle(users=5, items=4, seed=20 + case)
                     L = 3 if mode == M.FEATURELESS else 2
-                    hy = M.HyperParams(D=3, L=L, K=K, feature_mode=mode, aggregator=agg)
-                    params = M.init_params(hy, 5, 4, 8, 8, seed=case)
                     samples, _ = T.sample_pairs(bundle.train, 2, rng_seed=case)
-                    rep = O.finite_difference_check(
-                        params, hy, bundle, samples[:6], lambda_reg=1e-4, seed=case
-                    )
-                    assert rep.passed, (K, mode, agg, rep.max_rel_err, rep.worst_tensor)
+                    for pin in (False, True):
+                        hy = M.HyperParams(D=3, L=L, K=K, feature_mode=mode, aggregator=agg, pin_user_base=pin)
+                        params = M.init_params(hy, 5, 4, 8, 8, seed=case)
+                        rep = O.finite_difference_check(
+                            params, hy, bundle, samples[:6], lambda_reg=1e-4, seed=case
+                        )
+                        assert rep.passed, (K, mode, agg, pin, rep.max_rel_err, rep.worst_tensor)
+                        if pin:
+                            gP = O.compute_gradients(params, hy, bundle, samples[:6], lambda_reg=1e-4)["P"]
+                            assert gP.tobytes() == bytes(gP.nbytes)
 
 
 class TestFiniteDifferenceHarness:
@@ -382,12 +387,6 @@ class TestAdam:
             runs.append(params["w"].copy())
         assert np.array_equal(runs[0], runs[1])
 
-    def test_frozen_tensor_not_updated(self):
-        params = M.ModelParams({"w": np.zeros(2)}, frozen={"w"})
-        adam = T.AdamState.init(params)
-        T.adam_step(params, adam, M.ModelParams({"w": np.ones(2)}), 0.1)
-        assert np.array_equal(params["w"], np.zeros(2))
-
     LAYOUTS = {
         "features-bias": dict(use_bias=True),
         "featureless-no-bias": dict(feature_mode=M.FEATURELESS, L=3, use_bias=False),
@@ -413,7 +412,6 @@ class TestAdam:
 
     @pytest.mark.parametrize("pin,nan_in,named", [
         (False, ("Wk0", "F"), "F"),
-        (True, ("Wk0", "P"), "Wk0"),  # a frozen P keeps its values, so stays finite
     ])
     def test_non_finite_result_names_first_trainable_tensor(self, pin, nan_in, named):
         hy = M.HyperParams(D=3, L=2, K=1, pin_user_base=pin)
@@ -429,10 +427,9 @@ class TestAdam:
     @pytest.mark.parametrize("step", [T.adam_step, O.adam_step], ids=["flat", "per-tensor"])
     def test_moment_overflow_names_first_trainable_tensor(self, step):
         # (1 - b2) * g * g overflows v to inf for g = 1e200; the step is then 0
-        # and w stays finite, so only the moment check sees it. The frozen u
-        # overflows first in layout order but does not train.
-        params = M.ModelParams({"u": np.zeros(2), "w": np.array([1.0, 2.0]), "x": np.zeros(1)}, frozen={"u"})
-        grads = M.ModelParams({"u": np.array([1e200, 0.0]), "w": np.array([1e200, 1e-3]), "x": [1e200]})
+        # and w stays finite, so only the moment check sees it
+        params = M.ModelParams({"w": np.array([1.0, 2.0]), "x": np.zeros(1)})
+        grads = M.ModelParams({"w": np.array([1e200, 1e-3]), "x": [1e200]})
         with pytest.raises(T.DivergenceError, match=r"^non-finite Adam moments in w after Adam step 1$"):
             with np.errstate(over="ignore"):  # as train runs it
                 step(params, T.AdamState.init(params), grads, 0.01)
