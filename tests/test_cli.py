@@ -433,6 +433,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"'{entry}'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("pin", [False, True])
+    def test_frozen_entry_written_from_pin_user_base(self, tmp_path, pin):
+        hy = M.HyperParams(D=3, L=2, K=1, pin_user_base=pin)
+        path = tmp_path / "m.bin"
+        save_checkpoint(path, hy, M.init_params(hy, 5, 4, 2, 2, seed=0), "fp")
+        seen = []
+        self.rewrite_header(path, lambda h: seen.append(h["frozen"]))
+        assert seen == [["P"] if pin else []]
+
+    @pytest.mark.parametrize("value", [5, [["x"]], "P", ["nope"]], ids=["int", "nested", "string", "unknown-name"])
+    def test_frozen_entry_is_not_read(self, tmp_path, value):
+        # the entry is kept for the file's bytes; a pinned P is a constant of the model
+        hy, params = self.make()
+        path = tmp_path / "n.bin"
+        save_checkpoint(path, hy, params, "fp")
+        self.rewrite_header(path, lambda h: h.update(frozen=value))
+        ckpt = load_checkpoint(path)
+        assert ckpt.hypers == hy
+        assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+
     def test_repeated_block_names_it(self, tmp_path):
         hy, params = self.make()
         path = tmp_path / "k.bin"

@@ -365,6 +365,17 @@ class TestAdam:
         assert np.array_equal(params["w"], before)
         assert adam.step == 5
 
+    @pytest.mark.parametrize("step", [T.adam_step, O.adam_step], ids=["flat", "per-tensor"])
+    def test_zero_tensor_with_zero_gradient_stays_positive_zero(self, step):
+        # how a pinned P stays +0.0: its moments stay 0, so each step subtracts +0.0
+        params = M.ModelParams({"P": np.zeros(3), "w": np.array([1.0, -2.0])})
+        adam = T.AdamState.init(params)
+        for _ in range(5):
+            step(params, adam, M.ModelParams({"P": np.zeros(3), "w": np.array([0.3, -0.7])}), 0.1)
+        assert params["P"].tobytes() == bytes(24)
+        assert adam.m["P"].tobytes() == adam.v["P"].tobytes() == bytes(24)
+        assert not np.array_equal(params["w"], [1.0, -2.0])
+
     def test_constant_gradient_step_size_approaches_lr(self):
         # with a constant gradient Adam's bias-corrected step tends to lr
         params, adam = self.make()
