@@ -5,8 +5,9 @@ entries. Checkpoint payloads are little-endian IEEE-754 float64 regardless
 of the training precision so saved artifacts are exactly reproducible; a
 snapshot holds a bundle's blocks(), checked against the fingerprint in its
 header. Writes are atomic (temp file + rename); loading fails closed on
-any version, magic or size mismatch and on any malformed header entry,
-naming the file and the offending block or entry.
+any version, magic or size mismatch, on any malformed header entry and on
+a pinned P that is not +0.0, naming the file and the offending block or
+entry.
 """
 from __future__ import annotations
 
@@ -175,9 +176,13 @@ def _read_container(path, magic, kind, required, dtypes):
 
 
 def load_checkpoint(path):
+    """The Checkpoint at `path`; a pinned P (`pin_user_base`) must be all +0.0 bytes."""
     header, arrays = _read_container(path, MAGIC, "checkpoint", ("hyperparams", "fingerprint"), ("<f8",))
+    hypers = _hypers(path, header["hyperparams"])
+    if hypers.pin_user_base and "P" in arrays and arrays["P"].view("<i8").any():
+        raise CheckpointError(f"{path}: block 'P' is not all +0.0, but pin_user_base pins it there")
     return Checkpoint(
-        hypers=_hypers(path, header["hyperparams"]),
+        hypers=hypers,
         params=ModelParams(arrays),
         fingerprint=header["fingerprint"],
         log_tail=header.get("log_tail", []),

@@ -517,6 +517,9 @@ def main(argv=None):
     except (M.ModelError, T.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

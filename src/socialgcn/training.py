@@ -4,13 +4,13 @@ Each epoch draws its negatives from one Generator, read through a bounded
 buffer. Each batch runs model.forward_all fresh over the whole graph, takes
 the loss's gradient with respect to U and V, and hands it to
 model.backward_all for every tensor's gradient, written into the one
-workspace the run made. Parameters untouched by a batch receive zero
+gradient buffer the run made. Parameters untouched by a batch receive zero
 gradient apart from the L2 term on P and Q.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -126,21 +126,14 @@ def _pair_terms(U, V, batch):
     return float(np.mean(np.logaddexp(0.0, -margins))), Uu, Vd, margins
 
 
-def _workspace(params):
-    """The two buffers every batch's `_loss_and_gradients` writes into, both in
-    params' layout: the gradients and a scratch for the L2 term."""
-    return params.zeros_like(), params.zeros_like()
-
-
-def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg, work):
+def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg, grads):
     """(loss, gradients) of one batch from one forward_all and one backward_all; one set of margins serves both.
 
     The loss is the batch's mean of -ln sigmoid(margin), 0 for an empty
     batch, plus lambda * (|P|^2 + |Q|^2), added once and not scaled by the
-    batch size. The gradients are written into `work`'s buffer, which is
-    returned; its earlier contents are ignored.
+    batch size. The gradients are written into `grads`, in params' layout,
+    which is returned; its earlier contents are ignored.
     """
-    grads, scratch = work
     U, V, state = M.forward_all(params, hypers, bundle)
     D = hypers.D
     num_users, num_items = bundle.num_users, bundle.num_items
@@ -170,14 +163,11 @@ def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg, work):
         loss = 0.0
         gU = np.zeros((num_users, D))
         gV = np.zeros((num_items, D))
-    loss += lambda_reg * (
-        float(np.sum(np.square(params["P"], out=scratch["P"])))
-        + float(np.sum(np.square(params["Q"], out=scratch["Q"])))
-    )
+    loss += lambda_reg * (float(np.sum(np.square(params["P"]))) + float(np.sum(np.square(params["Q"]))))
 
     M.backward_all(params, hypers, bundle, V, state, gU, gV, grads)
     n = params["P"].size + params["Q"].size  # P and Q lead the layout
-    grads.flat[:n] += np.multiply(params.flat[:n], 2.0 * lambda_reg, out=scratch.flat[:n])
+    grads.flat[:n] += params.flat[:n] * (2.0 * lambda_reg)
     return loss, grads
 
 
@@ -187,9 +177,7 @@ def _loss_and_gradients(params, hypers, bundle, batch, lambda_reg, work):
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, and the two scratch vectors every step
-    reuses, made once in m's layout.
-    """
+    """Adam's moments and step count."""
 
     m: M.ModelParams
     v: M.ModelParams
@@ -197,10 +185,6 @@ class AdamState:
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
     eps: ClassVar[float] = 1e-8
-    scratch: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scratch = np.empty_like(self.m.flat), np.empty_like(self.m.flat)
 
     @classmethod
     def init(cls, params):
@@ -210,7 +194,7 @@ class AdamState:
 def adam_step(params, adam, grads, lr):
     """Adam step with bias correction on `flat`, every tensor at once.
 
-    Works in place through `adam.scratch` and only reads `grads`. It runs the
+    Updates the moments and params in place and only reads `grads`. It runs the
     operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in their order.
     A tensor whose gradient is always +0.0, as a pinned P's is, keeps its
@@ -220,16 +204,15 @@ def adam_step(params, adam, grads, lr):
     t = adam.step
     b1, b2 = adam.beta1, adam.beta2
     g, m, v = grads.flat, adam.m.flat, adam.v.flat
-    a, b = adam.scratch
     m *= b1
-    m += np.multiply(g, 1.0 - b1, out=a)
+    m += g * (1.0 - b1)
     v *= b2
-    np.multiply(g, 1.0 - b2, out=a)
+    a = g * (1.0 - b2)
     a *= g
     v += a
-    np.divide(m, 1.0 - b1**t, out=a)
+    a = m / (1.0 - b1**t)
     a *= lr
-    np.divide(v, 1.0 - b2**t, out=b)
+    b = v / (1.0 - b2**t)
     np.sqrt(b, out=b)
     b += adam.eps
     a /= b
@@ -265,7 +248,7 @@ def train(bundle, hypers, config):
     d2 = bundle.item_features.dim if bundle.item_features is not None else 0
     params = M.init_params(hypers, bundle.num_users, bundle.num_items, d1, d2, seed=config.seed)
     adam = AdamState.init(params)
-    work = _workspace(params)
+    grads = params.zeros_like()
 
     has_val = bundle.validation.num_edges > 0
     val_cfg = evaluation.EvalConfig(
@@ -292,7 +275,7 @@ def train(bundle, hypers, config):
             batch = samples[start : start + config.batch_size]
             # overflow here only makes inf or nan, which the finite checks below report
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                loss, grads = _loss_and_gradients(params, hypers, bundle, batch, config.lambda_reg, work)
+                loss, grads = _loss_and_gradients(params, hypers, bundle, batch, config.lambda_reg, grads)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}")
                 if not grads.all_finite():

@@ -210,7 +210,7 @@ def batch_loss(params, hypers, bundle, batch, lambda_reg=0.0):
 
 def compute_gradients(params, hypers, bundle, batch, lambda_reg=0.0):
     """Exact gradients of batch_loss w.r.t. every model tensor."""
-    _, grads = T._loss_and_gradients(params, hypers, bundle, batch, lambda_reg, T._workspace(params))
+    _, grads = T._loss_and_gradients(params, hypers, bundle, batch, lambda_reg, params.zeros_like())
     if not grads.all_finite():
         raise DivergenceError("non-finite gradient")
     return grads

@@ -453,6 +453,24 @@ class TestCheckpoint:
         assert ckpt.hypers == hy
         assert ckpt.params.flat.tobytes() == params.flat.tobytes()
 
+    @pytest.mark.parametrize("fill", [1.0, -0.0], ids=["one", "negative-zero"])
+    def test_pinned_p_that_is_not_positive_zero_fails_closed(self, tmp_path, capsys, fill):
+        cfg = write_config(tmp_path, pin_user_base="true", max_epochs=1)
+        assert cli.main(["train", "--config", cfg]) == 0
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        saved = load_checkpoint(ckpt)  # as trained, P is all +0.0 and loads
+        assert saved.hypers.pin_user_base
+        saved.params["P"] = np.full(saved.params["P"].shape, fill)
+        save_checkpoint(ckpt, saved.hypers, saved.params, saved.fingerprint)
+        message = f"{ckpt}: block 'P' is not all +0.0, but pin_user_base pins it there"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(ckpt)
+        capsys.readouterr()
+        for command in (["evaluate", "--output-dir", str(tmp_path / "eval")], ["predict", "--user", "0"]):
+            assert cli.main(command + ["--config", cfg, "--checkpoint", ckpt]) == cli.EXIT_DATA
+            assert capsys.readouterr() == ("", f"data error: {message}\n")
+        assert not (tmp_path / "eval").exists()
+
     def test_repeated_block_names_it(self, tmp_path):
         hy, params = self.make()
         path = tmp_path / "k.bin"
@@ -637,6 +655,29 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg]) == cli.EXIT_DATA
         assert capsys.readouterr() == ("", f"data error: {paths[name]}{fault}\n")
         assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("overrides, shape, dtype", [
+        (dict(dim=10**12), "(1000000000000, 11)", "float64"),
+        (dict(mode="featureless", latent=10**12, dim=10**12), "(30, 1000000000000)", "float64"),
+        (dict(synth_dim_user=10**11), "(5, 100000000000)", "float64"),
+        (dict(negatives=10**12), "(73000000000000,)", "int64"),
+        (dict(synth_users=10**9), "(1000000000,)", "int64"),
+    ], ids=["dim", "featureless-dim", "synth_dim_user", "negatives", "synth_users"])
+    def test_out_of_memory_exits_1_in_one_line(self, tmp_path, overrides, shape, dtype):
+        # each setting asks NumPy for more than the child's 2 GiB address-space cap, and
+        # none of them starts a thread or a process
+        cfg = write_config(tmp_path, **overrides)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+        done = subprocess.run(
+            [sys.executable, "-m", "socialgcn.cli", "train", "--config", cfg],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        numpy_message = rf"Unable to allocate [^\n]+ for an array with shape {re.escape(shape)} and data type {dtype}"
+        assert re.fullmatch(rf"error: out of memory in train: {numpy_message}\n", done.stderr), done.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code_and_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, synthetic="false", interactions="r.tsv",

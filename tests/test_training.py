@@ -465,7 +465,7 @@ class TestStepOwnership:
         params = M.init_params(hy, 12, 9, 8, 8, seed=4)
         samples, _ = T.sample_pairs(bundle.train, 2, rng_seed=5)
         before = params.flat.tobytes()
-        _, grads = T._loss_and_gradients(params, hy, bundle, samples[:16], 1e-3, T._workspace(params))
+        _, grads = T._loss_and_gradients(params, hy, bundle, samples[:16], 1e-3, params.zeros_like())
         assert params.flat.tobytes() == before
         if not hy.with_features:
             assert M.forward_all(params, hy, bundle)[1] is params["Q"]
@@ -481,14 +481,13 @@ class TestStepOwnership:
         params = M.init_params(hy, 12, 9, 8, 8, seed=4)
         adam = T.AdamState.init(params)
         samples, _ = T.sample_pairs(bundle.train, 2, rng_seed=5)
-        work = T._workspace(params)
-        for buffer in work:
-            buffer.flat.fill(np.nan)  # what an earlier run might have left
+        work = params.zeros_like()
+        work.flat.fill(np.nan)  # what an earlier run might have left
         # a full batch, a short one, then an empty one, with an Adam step after each
         for batch in (samples[:16], samples[16:19], samples[:0]):
             loss, grads = T._loss_and_gradients(params, hy, bundle, batch, 1e-3, work)
-            fresh_loss, fresh = T._loss_and_gradients(params, hy, bundle, batch, 1e-3, T._workspace(params))
-            assert grads is work[0]
+            fresh_loss, fresh = T._loss_and_gradients(params, hy, bundle, batch, 1e-3, params.zeros_like())
+            assert grads is work
             assert repr(loss) == repr(fresh_loss) and grads.flat.tobytes() == fresh.flat.tobytes()
             grad_bytes = grads.flat.tobytes()
             T.adam_step(params, adam, grads, 0.01)
