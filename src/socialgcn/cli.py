@@ -432,16 +432,11 @@ def cmd_ablate(args):
     return EXIT_OK
 
 
-# The config key of each flag whose argparse dest is not that key.
-_FLAG_KEYS = {"negatives": "eval_negatives"}
-
-
 def _load_config(args):
     """The config file's RunConfig, or the defaults, with each given flag's value in the key it names."""
     cfg = parse_config(args.config) if args.config else RunConfig()
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    for dest, value in vars(args).items():
-        key = _FLAG_KEYS.get(dest, dest)
+    for key, value in vars(args).items():
         if key in types and value is not None:
             setattr(cfg, key, _coerce(key, types[key], value) if isinstance(value, str) else value)
     return cfg
@@ -460,7 +455,7 @@ def _add_common(p, with_eval=False):
     p.add_argument("--output-dir", dest="output_dir")
     if with_eval:
         p.add_argument("--n", help="comma-separated cutoff list, e.g. 5,10,15")
-        p.add_argument("--negatives", type=int, help="sampled candidate negatives")
+        p.add_argument("--negatives", dest="eval_negatives", type=int, help="sampled candidate negatives")
         p.add_argument("--repetitions", type=int)
         p.add_argument("--allow-mismatch", action="store_true")
 
@@ -517,8 +512,11 @@ def main(argv=None):
     except (M.ModelError, T.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
-        print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)
+    except (MemoryError, ValueError) as exc:
+        # NumPy raises ValueError for an array past its index range; any other ValueError is a bug
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
+        print(f"error: out of memory in {args.command}" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -381,9 +381,6 @@ class DatasetBundle:
 # loaders / savers
 
 
-_INT64 = range(-(2**63), 2**63)
-
-
 def _data_lines(path):
     """(line number, stripped line) of each data line of the file at `path`: neither blank nor a '#' comment."""
     try:
@@ -406,13 +403,26 @@ def _parsed(path, lines, parse):
             raise DataError(f"{path}:{lineno}: {exc}") from None
 
 
-def _edge_parser(fields, line_fault, range_fault, header):
-    """Reader of one "a<TAB>b" line into (a, b).
+def _load_edges(path, kind, fields, build, fault):
+    """The table `build(sources, targets, header)` makes of an "a<TAB>b" edge file's int64 ids.
 
-    It raises a DataError for the line's first fault, checked in this order:
-    field count, integer ids, line_fault(a, b, line), 64-bit ids,
-    range_fault(a, b, header), then negative ids.
+    The first data line is the header when _parse_header reads one. A line
+    is kept when each id is in range(min(count, 2**63)), count being its
+    column's header count or 2**63, and in a social file the two differ.
+    Any other line is a DataError with fault(a, b, line, header)'s message.
+    A DataError names the first faulty ``path:line``, or ``path`` when
+    `build` finds the counts too large for a table.
     """
+    lines = _data_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise DataError(f"{path}: empty {kind} file")
+    header = _parse_header(first[1])
+    if header is None:
+        lines = itertools.chain([first], lines)
+    header = header or {}
+    loops = kind != "social"
+    ra, rb = (range(min(header.get(key, 2**63), 2**63)) for key in ("users", "items" if loops else "users"))
 
     def parse(line):
         parts = line.split("\t")
@@ -422,46 +432,26 @@ def _edge_parser(fields, line_fault, range_fault, header):
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise DataError(f"non-integer id in {line!r}") from None
-        message = line_fault(a, b, line)
-        if message is None and (a not in _INT64 or b not in _INT64):
-            message = f"id out of range in {line!r}"
-        message = message or range_fault(a, b, header)
-        if message is None and (a < 0 or b < 0):
-            message = f"negative id in {line!r}"
-        if message is not None:
-            raise DataError(message)
-        return a, b
+        if a in ra and b in rb and (loops or a != b):
+            return a, b
+        raise DataError(fault(a, b, line, header))
 
-    return parse
-
-
-def _load_edges(path, kind, fields, build, line_fault, range_fault):
-    """The table `build(sources, targets, header)` makes of an "a<TAB>b" edge file's int64 ids.
-
-    The first data line is the header when _parse_header reads one. A
-    DataError names the first faulty ``path:line``, or ``path`` when `build`
-    finds the counts too large for a table.
-    """
-    lines = _data_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise DataError(f"{path}: empty {kind} file")
-    header = _parse_header(first[1])
-    if header is None:
-        lines = itertools.chain([first], lines)
-    parse = _edge_parser(fields, line_fault, range_fault, header or {})
     ids = np.fromiter(itertools.chain.from_iterable(_parsed(path, lines, parse)), np.int64)
     try:
-        return build(ids[0::2], ids[1::2], header or {})
+        return build(ids[0::2], ids[1::2], header)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _interaction_range_fault(a, i, header):
-    for name, value in (("user", a), ("item", i)):
-        count = header.get(f"{name}s")
-        if count is not None and value >= count:
-            return f"{name} id {value} out of range [0, {count})"
+def _interaction_fault(a, i, line, header):
+    """The first fault of a user<TAB>item line: negative id, id past 64 bits, user range, item range."""
+    if a < 0 or i < 0:
+        return f"negative id in {line!r}"
+    if max(a, i) >= 2**63:
+        return f"id out of range in {line!r}"
+    if "users" in header and a >= header["users"]:
+        return f"user id {a} out of range [0, {header['users']})"
+    return f"item id {i} out of range [0, {header['items']})"
 
 
 def load_interactions(path) -> InteractionMatrix:
@@ -471,15 +461,19 @@ def load_interactions(path) -> InteractionMatrix:
         "interaction",
         "user<TAB>item",
         lambda users, items, h: InteractionMatrix.from_arrays(users, items, h.get("users"), h.get("items")),
-        lambda a, i, line: f"negative id in {line!r}" if a < 0 or i < 0 else None,
-        _interaction_range_fault,
+        _interaction_fault,
     )
 
 
-def _social_range_fault(a, b, header):
-    users = header.get("users")
-    if users is not None and not (0 <= a < users and 0 <= b < users):
-        return f"social edge ({a},{b}) out of range [0, {users})"
+def _social_fault(a, b, line, header):
+    """The first fault of a follower<TAB>followee line: self-loop, id past 64 bits, range, negative id."""
+    if a == b:
+        return f"self-loop on user {a}"
+    if not -(2**63) <= min(a, b) <= max(a, b) < 2**63:
+        return f"id out of range in {line!r}"
+    if "users" in header:
+        return f"social edge ({a},{b}) out of range [0, {header['users']})"
+    return f"negative id in {line!r}"
 
 
 def load_social(path) -> SocialGraph:
@@ -489,8 +483,7 @@ def load_social(path) -> SocialGraph:
         "social",
         "follower<TAB>followee",
         lambda followers, followees, h: SocialGraph.from_arrays(followers, followees, h.get("users")),
-        lambda a, b, line: f"self-loop on user {a}" if a == b else None,
-        _social_range_fault,
+        _social_fault,
     )
 
 

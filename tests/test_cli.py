@@ -679,6 +679,40 @@ class TestTrainCommand:
         assert re.fullmatch(rf"error: out of memory in train: {numpy_message}\n", done.stderr), done.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides", [dict(dim=10**18), dict(negatives=10**17)], ids=["dim", "negatives"])
+    def test_array_past_index_range_exits_1_in_one_line(self, tmp_path, overrides):
+        # NumPy raises ValueError, not MemoryError, for an array of more bytes than it can index
+        cfg = write_config(tmp_path, **overrides)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+        done = subprocess.run(
+            [sys.executable, "-m", "socialgcn.cli", "train", "--config", cfg],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: out of memory in train: array is too big; "
+            "`arr.size * arr.dtype.itemsize` is larger than the maximum possible size.\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_without_a_message_ends_at_the_command(self, capsys, monkeypatch):
+        def no_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_train", no_memory)
+        assert cli.main(["train"]) == 1
+        assert capsys.readouterr() == ("", "error: out of memory in train\n")
+
+    def test_other_value_error_is_raised(self, monkeypatch):
+        def bug(args):
+            raise ValueError("array is too small")
+
+        monkeypatch.setattr(cli, "cmd_train", bug)
+        with pytest.raises(ValueError, match="array is too small"):
+            cli.main(["train"])
+
     def test_config_error_exit_code_and_no_outputs(self, tmp_path):
         cfg = write_config(tmp_path, synthetic="false", interactions="r.tsv",
                            output_dir=str(tmp_path / "none"))
@@ -1100,7 +1134,7 @@ class TestParser:
         assert cli.main(["evaluate", "--checkpoint", "b.bin", "--n", "5"]) == 0
         assert seen == [
             {**common, "command": "predict", "k": 1, "checkpoint": "a.bin", "user": 3, "top_n": 10},
-            {**common, "command": "evaluate", "checkpoint": "b.bin", "n": "5", "negatives": None,
+            {**common, "command": "evaluate", "checkpoint": "b.bin", "n": "5", "eval_negatives": None,
              "repetitions": None, "allow_mismatch": False},
         ]
         assert cli.build_parser() is cli.build_parser()

@@ -453,6 +453,12 @@ def corrupt(draw, lines, kind):
     }
     if kind == "social":
         options["self-loop"] = rest + "\t" + rest
+    if kind != "features":  # two faults on one line: the first in check order names it
+        options.update({
+            "negative and past 64 bits": f"-4\t{2**63}",
+            "negative self-loop": "-4\t-4",
+            "past 64 bits and negative": f"{2**63}\t-4",
+        })
     if kind == "features":
         options.update({
             "bad value": line + "x",
@@ -526,6 +532,17 @@ class TestBulkLoadersMatchLineByLine:
     def test_id_beyond_int64_names_line(self, tmp_path, kind):
         path = write(tmp_path, "big.tsv", f"users=3 items=3\n0\t1\n{2**63}\t1\n")
         with pytest.raises(D.DataError, match=r"big.tsv:3: id out of range in "):
+            LOADERS[kind][0](path)
+
+    @pytest.mark.parametrize("kind, header, row", [
+        ("interactions", f"users={2**64} items=3", f"{2**63}\t1"),
+        ("interactions", f"users=3 items={2**63}", f"1\t{2**63}"),
+        ("social", f"users={2**64}", f"{2**63}\t1"),
+        ("social", f"users={2**63}", f"1\t{2**63}"),
+    ])
+    def test_id_beyond_int64_under_a_count_beyond_it_names_line(self, tmp_path, kind, header, row):
+        path = write(tmp_path, "big.tsv", f"{header}\n0\t1\n{row}\n")
+        with pytest.raises(D.DataError, match=re.escape(f"big.tsv:3: id out of range in {row!r}")):
             LOADERS[kind][0](path)
 
     @pytest.mark.parametrize("header", ["users=3 users=9", "items=4 items=2"])
